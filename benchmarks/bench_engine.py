@@ -25,19 +25,8 @@ compiled protocols (``self-stab-pif``, ``tree-pif``,
 ``spanning-tree``), incremental vs columnar, each on an
 O(N)-constructible family that suits it.
 
-The *region axis* measures parallel daemon stepping (``repro.regions``):
-the configuration is seeded with 16 well-separated corruption blobs, so
-every step's dirty footprint splits into many independent regions, and
-region-partitioned columnar stepping (thread pool, default thread
-count) runs against serial columnar under synchronous and distributed
-daemons.  The tracked ``speedup_parallel_regions_over_serial`` ratio is
-honest parallelism: both modes share the same vectorized kernels, so it
-isolates partition overhead vs multi-core win (≈1.0 or below expected
-on 1-CPU hosts, where the key is still recorded).  A companion
-benchmark asserts in-bench that traces are bit-identical across thread
-counts {1, 2, 4} and against serial.  Results are written to
-``BENCH_engine.json`` at the repository root so the perf trajectory is
-tracked PR over PR::
+Results are written to ``BENCH_engine.json`` at the repository root so
+the perf trajectory is tracked PR over PR::
 
     pytest benchmarks/bench_engine.py --benchmark-only -q
 """
@@ -45,18 +34,13 @@ tracked PR over PR::
 from __future__ import annotations
 
 import time
-from random import Random
 
 import pytest
 
 from repro.core.pif import SnapPif
 from repro.graphs import random_connected, random_tree, ring
 from repro.protocols import SelfStabPif, SpanningTree, TreePif
-from repro.runtime.daemons import (
-    CentralDaemon,
-    DistributedRandomDaemon,
-    SynchronousDaemon,
-)
+from repro.runtime.daemons import CentralDaemon
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 
@@ -139,65 +123,6 @@ RESULTS: dict[tuple[str, int, str], dict[str, float]] = {}
 
 #: ``(protocol, family, n, engine) -> same measurement shape``.
 PROTOCOL_RESULTS: dict[tuple[str, str, int, str], dict[str, float]] = {}
-
-# ----------------------------------------------------------------------
-# Region axis: parallel daemon over disjoint dirty regions
-# ----------------------------------------------------------------------
-
-REGION_TABLE = TableCollector(
-    "E-engine — parallel regions: steps/sec, serial vs region-partitioned",
-    columns=[
-        "topology",
-        "n",
-        "daemon",
-        "mode",
-        "steps",
-        "seconds",
-        "steps/sec",
-    ],
-)
-
-#: Step budgets chosen so the 16 corruption blobs (spaced ``n // 16``
-#: apart) cannot grow into one another within the run — enabled
-#: activity spreads at most one hop per step per side, so the selection
-#: stays genuinely multi-region for the whole measurement.
-REGION_STEPS = {4096: 60, 16384: 40, 65536: 20}
-
-REGION_SIZES = (4096, 16384, 65536)
-REGION_FAMILIES = ("ring", "tree")
-REGION_DAEMONS = {
-    "synchronous": lambda: SynchronousDaemon(),
-    "distributed": lambda: DistributedRandomDaemon(0.5),
-}
-REGION_MODES = ("serial", "regions")
-
-#: ``(family, n, daemon)`` grid for the region axis — each cell
-#: measures *both* modes back to back on the same constructed
-#: workload, so the speedup ratio is a paired comparison (unpaired
-#: cells drift with process age: allocator state and warmed caches
-#: skew whichever mode happens to run first by tens of percent).
-REGION_CASES = [
-    (family, n, daemon)
-    for family in REGION_FAMILIES
-    for n in REGION_SIZES
-    for daemon in REGION_DAEMONS
-]
-
-#: ``(family, n, daemon, mode) -> measurement``.
-REGION_RESULTS: dict[tuple[str, int, str, str], dict[str, float]] = {}
-
-
-def _region_blobs(protocol, net: Network, n: int) -> dict:
-    """16 corruption windows, ``n // 16`` apart — the multi-region seed."""
-    donor = protocol.random_configuration(net, Random(9))
-    width = max(1, n // 128)
-    spacing = max(width + 8, n // 16)
-    updates = {}
-    for k in range(16):
-        start = (k * spacing) % n
-        for p in range(start, min(start + width, n)):
-            updates[p] = donor[p]
-    return updates
 
 
 def _bfs_parents(net: Network, root: int = 0) -> dict[int, int | None]:
@@ -305,128 +230,6 @@ def test_compiled_protocol_throughput(
         assert measurement["steps"] == STEPS[n]
 
 
-def _measure_region(
-    family: str, n: int, daemon_name: str
-) -> dict[str, dict[str, float]]:
-    """Measure serial and region-parallel back to back, paired."""
-    net = TOPOLOGIES[family](n)
-    protocol = SnapPif.for_network(net)
-    blobs = _region_blobs(protocol, net, n)
-    budget = REGION_STEPS[n]
-    measurements = {}
-    for mode in REGION_MODES:
-        sim = Simulator(
-            protocol,
-            net,
-            REGION_DAEMONS[daemon_name](),
-            seed=1,
-            engine="columnar",
-            region_parallel=(mode == "regions"),
-        )
-        sim.perturb_configuration(blobs)
-        start = time.perf_counter()
-        done = 0
-        for _ in range(budget):
-            if sim.step() is None:
-                break
-            done += 1
-        elapsed = time.perf_counter() - start
-        measurements[mode] = {
-            "steps": done,
-            "seconds": elapsed,
-            "steps_per_sec": done / elapsed if elapsed > 0 else 0.0,
-        }
-    return measurements
-
-
-@pytest.mark.parametrize(
-    "family,n,daemon",
-    REGION_CASES,
-    ids=[f"{f}-{n}-{d}" for f, n, d in REGION_CASES],
-)
-def test_region_throughput(
-    family: str, n: int, daemon: str, benchmark
-) -> None:
-    measurements = benchmark.pedantic(
-        lambda: _measure_region(family, n, daemon),
-        rounds=1,
-        iterations=1,
-    )
-    for mode in REGION_MODES:
-        measurement = measurements[mode]
-        REGION_RESULTS[(family, n, daemon, mode)] = measurement
-        REGION_TABLE.add(
-            {
-                "topology": family,
-                "n": n,
-                "daemon": daemon,
-                "mode": mode,
-                "steps": int(measurement["steps"]),
-                "seconds": round(measurement["seconds"], 4),
-                "steps/sec": round(measurement["steps_per_sec"]),
-            }
-        )
-        assert measurement["steps"] == REGION_STEPS[n]
-
-
-def test_region_determinism_across_thread_counts(benchmark) -> None:
-    # Uses the benchmark fixture so it runs under --benchmark-only: the
-    # speedup key is only trustworthy if the parallel trace is the
-    # serial trace, so the bench asserts it in the same session.
-    n = 1024
-    net = ring(n)
-    protocol = SnapPif.for_network(net)
-    blobs = _region_blobs(protocol, net, n)
-
-    def run(region_parallel: bool, threads: int | None = None) -> tuple:
-        sim = Simulator(
-            protocol,
-            net,
-            DistributedRandomDaemon(0.5),
-            seed=3,
-            engine="columnar",
-            trace_level="selections",
-            region_parallel=region_parallel,
-            region_threads=threads,
-        )
-        sim.perturb_configuration(blobs)
-        for _ in range(40):
-            if sim.step() is None:
-                break
-        return (
-            sim.steps,
-            sim.moves,
-            sim.trace.schedule(),
-            sim.configuration,
-        )
-
-    outcomes = benchmark.pedantic(
-        lambda: [run(False)] + [run(True, t) for t in (1, 2, 4)],
-        rounds=1,
-        iterations=1,
-    )
-    serial, *parallel = outcomes
-    for index, outcome in enumerate(parallel):
-        assert outcome == serial, f"threads={(1, 2, 4)[index]}"
-
-
-def _region_speedups() -> dict[str, float]:
-    """``family-n-daemon -> region-parallel steps/sec over serial``."""
-    out = {}
-    for family, n, daemon, mode in REGION_RESULTS:
-        if mode != "regions":
-            continue
-        base = REGION_RESULTS.get((family, n, daemon, "serial"))
-        if base is None or base["steps_per_sec"] == 0:
-            continue
-        out[f"{family}-{n}-{daemon}"] = round(
-            REGION_RESULTS[(family, n, daemon, "regions")]["steps_per_sec"]
-            / base["steps_per_sec"],
-            2,
-        )
-    return out
-
-
 def _speedups(numerator: str, denominator: str) -> dict[str, float]:
     """``family-n -> numerator steps/sec over denominator steps/sec``."""
     out = {}
@@ -491,18 +294,6 @@ def _build_report() -> dict | None:
             PROTOCOL_RESULTS.items()
         )
     ]
-    region_cases = [
-        {
-            "topology": family,
-            "n": n,
-            "daemon": daemon,
-            "mode": mode,
-            "steps": int(m["steps"]),
-            "seconds": m["seconds"],
-            "steps_per_sec": m["steps_per_sec"],
-        }
-        for (family, n, daemon, mode), m in sorted(REGION_RESULTS.items())
-    ]
     return {
         "benchmark": "enabled-set engine (full vs incremental vs columnar)",
         "workload": "snap PIF cycles, central daemon (choice=random), seed 1",
@@ -516,8 +307,6 @@ def _build_report() -> dict | None:
         "speedup_columnar_over_incremental_by_protocol": (
             _protocol_speedups()
         ),
-        "region_cases": region_cases,
-        "speedup_parallel_regions_over_serial": _region_speedups(),
     }
 
 

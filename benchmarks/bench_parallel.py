@@ -1,14 +1,13 @@
 """C-parallel — process-pool speedup and determinism across the jobs axis.
 
-Runs the two heaviest wired workloads — a chaos campaign grid and the
-sharded snap-safety sweep — serially and at ``jobs`` ∈ {1, 2, 4}, and
-reports the parallel-over-serial speedup per case as a **median over
-repeats** with min/max spread (single-shot speedups on a shared host
-are noise; see :func:`benchmarks.common.repeat_median`).
+Runs the heaviest wired workload — a chaos campaign grid — serially
+and at ``jobs`` ∈ {1, 2, 4}, and reports the parallel-over-serial
+speedup per case as a **median over repeats** with min/max spread
+(single-shot speedups on a shared host are noise; see
+:func:`benchmarks.common.repeat_median`).
 Every measurement doubles as the determinism canary: the parallel
 results must be *identical* to the serial ones (same runs, tapes and
-violations for the campaign; same verdict, counterexamples and coverage
-for the sweep), so a scheduling bug can never hide behind a speedup.
+violations), so a scheduling bug can never hide behind a speedup.
 
 Speedups are only meaningful relative to the host (a single-core
 container cannot beat serial), which is why every report embeds the
@@ -28,8 +27,7 @@ import time
 import pytest
 
 from repro.chaos import SCENARIO_SHAPES, run_campaign
-from repro.graphs import line, random_connected, ring
-from repro.verification import check_snap_safety
+from repro.graphs import random_connected, ring
 
 from benchmarks.common import JSON_REPORTS, TableCollector, repeat_median
 
@@ -51,9 +49,6 @@ CAMPAIGN_NETWORKS = [ring(12), random_connected(16, 0.2, seed=7)]
 CAMPAIGN_DAEMONS = ("central", "distributed-random")
 CAMPAIGN_SEEDS = (0, 1)
 CAMPAIGN_BUDGET = 400
-
-SAFETY_NETWORK = line(3)
-SAFETY_MAX_STATES = 200_000
 
 #: ``case -> {"identical": ..., "jobs": {j: repeat_median stats}}``
 RESULTS: dict[str, dict] = {}
@@ -79,23 +74,8 @@ def _run_campaign(jobs=None):
     )
 
 
-def _safety_sig(result):
-    return (
-        result.complete,
-        result.configurations_checked,
-        [(c.initial, c.schedule, c.message) for c in result.counterexamples],
-    )
-
-
-def _run_safety(jobs=None):
-    return check_snap_safety(
-        SAFETY_NETWORK, max_states=SAFETY_MAX_STATES, jobs=jobs
-    )
-
-
 WORKLOADS = {
     "campaign": (_run_campaign, _campaign_sig),
-    "snap-safety": (_run_safety, _safety_sig),
 }
 
 
@@ -178,9 +158,7 @@ def _build_report() -> dict | None:
         "workload": (
             "campaign: ring-12 + random-16, corruption-burst, "
             f"daemons {list(CAMPAIGN_DAEMONS)}, seeds {list(CAMPAIGN_SEEDS)}, "
-            f"budget {CAMPAIGN_BUDGET}; snap-safety: {SAFETY_NETWORK.name}, "
-            f"max_states {SAFETY_MAX_STATES}; "
-            f"speedups are medians over {REPEATS} repeats"
+            f"budget {CAMPAIGN_BUDGET}; speedups are medians over {REPEATS} repeats"
         ),
         "jobs_axis": list(JOBS_AXIS),
         "cases": cases,

@@ -38,7 +38,6 @@ TRACKED: dict[str, tuple[str, ...]] = {
         "speedup_incremental_over_full",
         "speedup_columnar_over_incremental",
         "speedup_columnar_over_incremental_by_protocol",
-        "speedup_parallel_regions_over_serial",
     ),
     "BENCH_modelcheck.json": ("speedup_memo_over_direct",),
     "BENCH_chaos.json": ("campaign_steps_per_sec",),

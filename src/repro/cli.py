@@ -96,24 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
             "builds (default: REPRO_ENGINE env, else incremental); "
             "'columnar' runs the compiled flat-array kernel",
         )
-        p.add_argument(
-            "--region-parallel",
-            action="store_true",
-            default=None,
-            help="columnar engine only: partition each step into "
-            "independent dirty regions and run them on a thread pool "
-            "(default: REPRO_REGION_PARALLEL env); traces are "
-            "bit-identical to serial stepping",
-        )
-        p.add_argument(
-            "--region-threads",
-            type=int,
-            default=None,
-            metavar="N",
-            help="thread-pool size for --region-parallel (default: "
-            "REPRO_REGION_THREADS env, else the CPU count capped at 8); "
-            "a pure throughput knob — results never depend on it",
-        )
 
     def add_topology_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -420,10 +402,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     jobs = args.jobs
     checks = [
-        (
-            "snap safety (all daemon choices)",
-            lambda n, **kw: check_snap_safety(n, jobs=jobs, **kw),
-        ),
+        # Safety stays serial: one memo is shared across every
+        # initiation, which sharding would lose (DESIGN.md §9).
+        ("snap safety (all daemon choices)", check_snap_safety),
         (
             "wave liveness (synchronous)",
             lambda n, **kw: check_cycle_liveness_synchronous(
@@ -762,20 +743,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         import os
 
         os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "region_parallel", None):
-        import os
-
-        os.environ["REPRO_REGION_PARALLEL"] = "1"
-    if getattr(args, "region_threads", None) is not None:
-        from repro.regions import resolve_region_threads
-
-        import os
-
-        # Validate eagerly so a bad value fails at the command line,
-        # not inside the first simulator a sweep builds.
-        os.environ["REPRO_REGION_THREADS"] = str(
-            resolve_region_threads(args.region_threads)
-        )
     return _COMMANDS[args.command](args)
 
 

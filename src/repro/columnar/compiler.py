@@ -387,9 +387,9 @@ class CompiledSpecKernel:
         Returns the *changed* rows as ``(node, new_row)``, ascending,
         without writing anything — callers land the writes and repair
         masks themselves.  Pure with respect to kernel state (column
-        reads stay within one hop of the given nodes), which is what
-        lets the region stepper evaluate disjoint regions concurrently
-        (DESIGN.md §14).  Large bulk-role groups on the numpy backend
+        reads stay within one hop of the given nodes), so every
+        statement of a step sees the same pre-step configuration, as
+        the model requires.  Large bulk-role groups on the numpy backend
         are evaluated vectorially; the result is bit-identical to the
         scalar path because both interpret the same IR over int64.
         """
@@ -580,8 +580,7 @@ class CompiledSpecKernel:
     def mask_values(self, nodes) -> list[int]:
         """Guard masks of ``nodes`` (ascending, sized) — the pure half
         of mask repair.  Reads columns within one hop of ``nodes`` and
-        writes nothing, so disjoint-region calls may run concurrently;
-        :meth:`apply_masks` installs the results (main thread only).
+        writes nothing; :meth:`apply_masks` installs the results.
         """
         if (
             self.backend == "numpy"

@@ -24,11 +24,6 @@ from typing import Mapping
 from repro import telemetry as _telemetry
 from repro.columnar.backend import resolve_backend
 from repro.columnar.bridge import ObjectBridgeKernel
-from repro.regions import (
-    RegionStepper,
-    resolve_region_parallel,
-    resolve_region_threads,
-)
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Protocol
 from repro.runtime.state import Configuration, NodeState
@@ -46,19 +41,10 @@ class ColumnarRuntime:
         configuration: Configuration,
         *,
         backend: str | None = None,
-        region_parallel: bool | None = None,
-        region_threads: int | None = None,
     ) -> None:
         self.backend = resolve_backend(backend)
-        self.region_parallel = resolve_region_parallel(region_parallel)
-        self.region_threads = (
-            resolve_region_threads(region_threads)
-            if self.region_parallel
-            else 1
-        )
         self.kernel = None
         self.compiled = False
-        self._stepper: RegionStepper | None = None
         self._compile(protocol, network, configuration)
 
     @property
@@ -103,21 +89,6 @@ class ColumnarRuntime:
             span.set("compiled", compiled)
         self.kernel = kernel
         self.compiled = compiled
-        # Region-parallel stepping needs a compiled kernel whose
-        # statements are confined to array slices; object-statement
-        # specs and the bridge keep the serial path.  Rebuilt on every
-        # recompile so topology churn recomputes regions against the
-        # new CSR index.
-        self._stepper = None
-        spec = getattr(kernel, "spec", None)
-        if (
-            self.region_parallel
-            and compiled
-            and spec is not None
-            and not spec.object_statements
-            and hasattr(kernel, "pending_updates")
-        ):
-            self._stepper = RegionStepper(kernel, self.region_threads)
         if _telemetry.enabled:
             registry = _telemetry.registry
             registry.inc("columnar.compiles")
@@ -144,8 +115,6 @@ class ColumnarRuntime:
         return self.kernel.enabled_map()
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
-        if self._stepper is not None and selection:
-            return self._stepper.execute_selection(selection)
         return self.kernel.execute_selection(selection)
 
     def apply_updates(self, updates: Mapping[int, NodeState]) -> set[int]:

@@ -39,7 +39,6 @@ checks this in lockstep, faults included).
 
 from __future__ import annotations
 
-import os
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -56,7 +55,12 @@ from repro.runtime.daemons import Daemon, SynchronousDaemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Context, Protocol
 from repro.runtime.rounds import RoundCounter
-from repro.runtime.simulator import DEFAULT_MAX_STEPS, Monitor, RunResult
+from repro.runtime.simulator import (
+    DEFAULT_MAX_STEPS,
+    Monitor,
+    RunResult,
+    resolve_engine,
+)
 from repro.runtime.state import Configuration, NodeState
 from repro.runtime.trace import StepRecord, Trace
 
@@ -143,17 +147,7 @@ class MessageSimulator:
         heartbeat: int | None = None,
         loss_rate: float = 0.0,
     ) -> None:
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or "incremental"
-        if engine not in ("incremental", "full", "columnar"):
-            raise ScheduleError(
-                f"unknown engine {engine!r}; expected 'incremental', "
-                f"'full' or 'columnar'"
-            )
-        if validate_engine is None:
-            validate_engine = os.environ.get(
-                "REPRO_ENGINE_VALIDATE", ""
-            ) not in ("", "0")
+        engine, validate_engine = resolve_engine(engine, validate_engine)
         self.engine = "incremental" if engine == "columnar" else engine
         self.validate_engine = validate_engine
         self.protocol = protocol

@@ -1,10 +1,11 @@
 """Deterministic process-pool parallelism for the heavy sweeps.
 
-Every heavy workload in the repository — chaos campaigns, the snap-safety
-model-check sweep, the synchronous convergence/liveness sweeps, the
-benchmark grids — is embarrassingly parallel per grid cell or per
-enumeration shard.  This package provides the one executor they all
-share:
+Every heavy workload in the repository — chaos campaigns, the
+synchronous convergence/liveness sweeps, the benchmark grids — is
+embarrassingly parallel per grid cell or per enumeration shard.  This
+package provides the one executor they all share.  (The snap-safety
+sweep stays serial: its memo is shared across all initiations, and
+sharding it lost more than the pool gained.)
 
 * :class:`~repro.parallel.executor.ParallelExecutor` — deterministic
   work partitioning over :class:`concurrent.futures.ProcessPoolExecutor`

@@ -70,9 +70,8 @@ def resolve_worker_count(
     value must be a positive integer — zero, negatives, non-integers
     (including bools) and garbage environment strings all raise
     :class:`ParallelError` naming the offending value and where it came
-    from.  ``resolve_jobs`` and the region stepper's
-    ``resolve_region_threads`` both delegate here, so their error
-    surfaces cannot drift apart.
+    from.  ``resolve_jobs`` and the wave service's knobs delegate
+    here, so their error surfaces cannot drift apart.
     """
     if value is None:
         raw = os.environ.get(env_var, "").strip()

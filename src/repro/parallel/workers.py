@@ -16,7 +16,7 @@ Payload shapes
     ``{"transport", "capacity", "model", "heartbeat", "loss_rate"}`` —
     one campaign grid cell; returns the
     :class:`~repro.chaos.campaign.ChaosRun`.
-``snap_safety_shard`` / ``liveness_shard`` / ``convergence_shard``
+``liveness_shard`` / ``convergence_shard``
     ``{"factory", "network", "root", "config_slice", ...check kwargs}``
     — one contiguous enumeration shard; returns the shard's
     :class:`~repro.verification.model_check.ModelCheckResult`.
@@ -36,7 +36,6 @@ from repro.runtime.network import Network
 __all__ = [
     "campaign_cell",
     "shrink_cell",
-    "snap_safety_shard",
     "liveness_shard",
     "convergence_shard",
 ]
@@ -143,26 +142,6 @@ def shrink_cell(payload: dict):
     if run.ok:
         return None
     return shrink_run(protocol, run, max_tests=payload["max_tests"])
-
-
-def snap_safety_shard(payload: dict):
-    """Run one contiguous initiation-configuration shard of the safety check."""
-    from repro.verification.model_check import check_snap_safety
-
-    network = payload["network"]
-    root = payload["root"]
-    return check_snap_safety(
-        network,
-        root,
-        protocol=_protocol_for(payload.get("factory"), network, root),
-        config_slice=payload["config_slice"],
-        max_states=payload["max_states"],
-        stop_at_first=payload["stop_at_first"],
-        memo=payload["memo"],
-        memo_capacity=payload["memo_capacity"],
-        validate_memo=payload["validate_memo"],
-        replay_counterexamples=payload["replay_counterexamples"],
-    )
 
 
 def liveness_shard(payload: dict):

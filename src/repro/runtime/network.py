@@ -281,6 +281,11 @@ class Network:
     # Value semantics
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            # Per-network caches (e.g. Protocol.node_actions' weak-key
+            # dictionary) compare a network with itself on every
+            # lookup; skip the O(N) adjacency comparison.
+            return True
         if not isinstance(other, Network):
             return NotImplemented
         return self._neighbors == other._neighbors

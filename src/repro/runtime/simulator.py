@@ -29,10 +29,33 @@ from repro.runtime.rounds import RoundCounter
 from repro.runtime.state import Configuration, NodeState
 from repro.runtime.trace import StepRecord, Trace
 
-__all__ = ["Monitor", "RunResult", "Simulator"]
+__all__ = ["Monitor", "RunResult", "Simulator", "resolve_engine"]
 
 #: Default safety valve for :meth:`Simulator.run`.
 DEFAULT_MAX_STEPS = 1_000_000
+
+
+def resolve_engine(
+    engine: str | None = None, validate_engine: bool | None = None
+) -> tuple[str, bool]:
+    """Resolve the engine knobs (``REPRO_ENGINE`` / ``REPRO_ENGINE_VALIDATE``).
+
+    Explicit arguments win over the environment; an empty environment
+    value means "unset".  Returns ``(engine, validate_engine)`` and
+    raises :class:`~repro.errors.ScheduleError` on an unknown engine.
+    """
+    if engine is None:
+        engine = os.environ.get("REPRO_ENGINE") or "incremental"
+    if engine not in ("incremental", "full", "columnar"):
+        raise ScheduleError(
+            f"unknown engine {engine!r}; expected 'incremental', "
+            f"'full' or 'columnar'"
+        )
+    if validate_engine is None:
+        validate_engine = os.environ.get(
+            "REPRO_ENGINE_VALIDATE", ""
+        ) not in ("", "0")
+    return engine, validate_engine
 
 
 class Monitor(TypingProtocol):
@@ -120,13 +143,6 @@ class Simulator:
         :class:`~repro.errors.VerificationError`.  Defaults to the
         ``REPRO_ENGINE_VALIDATE`` environment variable (any value other
         than empty/``0`` enables it).
-    region_parallel, region_threads:
-        Columnar engine only (ignored otherwise): when on, each step is
-        partitioned into independent dirty regions executed on a thread
-        pool (see :mod:`repro.regions`); traces stay bit-identical to
-        serial stepping for any thread count.  Default to the
-        ``REPRO_REGION_PARALLEL`` / ``REPRO_REGION_THREADS``
-        environment variables.
     """
 
     def __init__(
@@ -141,21 +157,8 @@ class Simulator:
         monitors: Iterable[Monitor] = (),
         engine: str | None = None,
         validate_engine: bool | None = None,
-        region_parallel: bool | None = None,
-        region_threads: int | None = None,
     ) -> None:
-        if engine is None:
-            # An empty REPRO_ENGINE means "unset", like REPRO_ENGINE_VALIDATE.
-            engine = os.environ.get("REPRO_ENGINE") or "incremental"
-        if engine not in ("incremental", "full", "columnar"):
-            raise ScheduleError(
-                f"unknown engine {engine!r}; expected 'incremental', "
-                f"'full' or 'columnar'"
-            )
-        if validate_engine is None:
-            validate_engine = os.environ.get(
-                "REPRO_ENGINE_VALIDATE", ""
-            ) not in ("", "0")
+        engine, validate_engine = resolve_engine(engine, validate_engine)
         self.engine = engine
         self.validate_engine = validate_engine
         self.protocol = protocol
@@ -190,11 +193,7 @@ class Simulator:
             from repro.columnar import ColumnarRuntime
 
             self._columnar: ColumnarRuntime | None = ColumnarRuntime(
-                protocol,
-                network,
-                config,
-                region_parallel=region_parallel,
-                region_threads=region_threads,
+                protocol, network, config
             )
             # The column block owns the state; ``self.configuration``
             # materializes object views on demand.

@@ -7,7 +7,7 @@ schedulers coalesce adjacent identical requests into shared PIF waves
 correct — DESIGN.md §15); an event bus streams lifecycle events
 through predicate-filtered subscriptions; wave execution runs in
 worker threads so the event loop never blocks.  Deterministic under a
-fixed seed and submission order.  See API.md «Wave service».
+fixed seed and submission order.  See docs/API.md «Wave service».
 """
 
 from repro.service.env import (

@@ -88,8 +88,8 @@ __all__ = [
 enabled: bool = False
 
 #: The active registry.  Instrumentation must re-read this module
-#: attribute (not hold a stale reference) unless inside a region it
-#: knows :func:`capture` cannot interleave with.
+#: attribute (not hold a stale reference), except for the length of a
+#: single call that :func:`capture` cannot interleave with.
 registry: MetricsRegistry = MetricsRegistry()
 
 #: The active JSONL sink, or None.

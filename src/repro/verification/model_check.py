@@ -865,7 +865,6 @@ def merge_model_check_results(
     results: Sequence[ModelCheckResult],
     *,
     property_name: str | None = None,
-    stop_at_first: bool = False,
 ) -> ModelCheckResult:
     """Merge per-shard results in stable shard order.
 
@@ -875,10 +874,6 @@ def merge_model_check_results(
     independent of which worker computed which shard, and therefore of
     the worker count.  Counters sum; ``complete`` holds only when every
     shard completed; shard truncations are aggregated into one message.
-    With ``stop_at_first`` only the earliest shard's counterexample is
-    kept (each shard stopped at its own first, and shards earlier in
-    enumeration order that returned none genuinely have none — so the
-    survivor is exactly the serial sweep's first counterexample).
 
     Timing fields (``elapsed_seconds`` summed across shards,
     ``states_per_second`` derived) are the only merged values that are
@@ -919,8 +914,6 @@ def merge_model_check_results(
             stats.peak_parent_entries, s.peak_parent_entries
         )
         stats.elapsed_seconds += s.elapsed_seconds
-    if stop_at_first and merged.counterexamples:
-        merged.counterexamples = merged.counterexamples[:1]
     if truncations:
         merged.truncation = "; ".join(truncations)
     stats.states_per_second = (
@@ -1034,10 +1027,6 @@ def check_snap_safety(
     memo_capacity: int = DEFAULT_MEMO_CAPACITY,
     validate_memo: bool | None = None,
     replay_counterexamples: bool = True,
-    jobs: int | None = None,
-    shards: int | None = None,
-    config_slice: tuple[int, int] | None = None,
-    task_timeout: float | None = None,
 ) -> ModelCheckResult:
     """Exhaustively verify PIF1/PIF2 safety for every initiated wave.
 
@@ -1062,43 +1051,10 @@ def check_snap_safety(
     is confirmed through :func:`replay_counterexample` before being
     reported.
 
-    ``jobs`` shards the sweep across a process pool (``None`` falls back
-    to the ``REPRO_JOBS`` environment variable, then to the classic
-    single-sweep path): the enumeration index space is partitioned into
-    ``shards`` contiguous worker-owned DFS partitions whose union is the
-    serial enumeration, each worker owns a fresh :class:`ModelCheckMemo`
-    and visited set, ``max_states`` is split evenly across the shards,
-    and the merged result (see :func:`merge_model_check_results`) is a
-    deterministic function of the shard partition alone — bit-identical
-    for any ``jobs`` ≥ 1, and verdict/counterexample-identical to the
-    serial sweep.  Cross-shard visited-set dedup is lost, so the merged
-    ``states_explored`` may exceed the serial count; the soundness
-    argument is DESIGN.md §9.  In sharded mode use ``protocol_factory``
-    (module-level ``(network, root) -> SnapPif``) rather than a
-    ``protocol`` instance (instances do not cross the pickle boundary).
-    ``config_slice`` restricts the sweep to a half-open window of the
-    enumeration index space — it is how workers receive their shard, and
-    it forces the serial path.
+    The sweep is always serial: one memo and one visited set are shared
+    by every initiation configuration, which is what makes it fast
+    (DESIGN.md §9).
     """
-    if config_slice is None:
-        n_jobs = _resolve_parallel_jobs(jobs)
-        if n_jobs is not None:
-            return _check_snap_safety_parallel(
-                network,
-                root,
-                protocol=protocol,
-                protocol_factory=protocol_factory,
-                max_configurations=max_configurations,
-                max_states=max_states,
-                stop_at_first=stop_at_first,
-                memo=memo,
-                memo_capacity=memo_capacity,
-                validate_memo=validate_memo,
-                replay_counterexamples=replay_counterexamples,
-                jobs=n_jobs,
-                shards=shards,
-                task_timeout=task_timeout,
-            )
     if protocol is None:
         factory = protocol_factory or SnapPif.for_network
         protocol = factory(network, root)
@@ -1148,10 +1104,7 @@ def check_snap_safety(
         # The tag of every freshly initiated wave: only the root is a
         # member, nothing acknowledged, no feedback yet.
         tag0 = WaveTag(frozenset({root}), frozenset(), False)
-        config_iter = enumerate_initiation_configurations(network, k)
-        if config_slice is not None:
-            config_iter = itertools.islice(config_iter, *config_slice)
-        for config in config_iter:
+        for config in enumerate_initiation_configurations(network, k):
             if (
                 max_configurations is not None
                 and result.configurations_checked >= max_configurations
@@ -1330,96 +1283,6 @@ def check_snap_safety(
             engine.fill_stats(stats)
         _publish_check(result)
     return result
-
-
-def _check_snap_safety_parallel(
-    network: Network,
-    root: int,
-    *,
-    protocol: SnapPif | None,
-    protocol_factory,
-    max_configurations: int | None,
-    max_states: int,
-    stop_at_first: bool,
-    memo: bool | None,
-    memo_capacity: int,
-    validate_memo: bool | None,
-    replay_counterexamples: bool,
-    jobs: int,
-    shards: int | None,
-    task_timeout: float | None,
-) -> ModelCheckResult:
-    """Shard the safety sweep into worker-owned DFS partitions and merge.
-
-    The partition covers exactly the first ``min(total,
-    max_configurations)`` enumeration indices — the same set the serial
-    sweep checks — split into contiguous ranges whose count depends only
-    on the workload (never on ``jobs``).  Each shard receives an even
-    split of the ``max_states`` budget, so the sharded sweep never
-    explores more than the serial budget and a shard that exhausts its
-    share truncates honestly (``complete=False`` on the merge).
-    """
-    from repro.parallel.executor import (
-        ParallelError,
-        ParallelExecutor,
-        raise_failures,
-    )
-    from repro.parallel.workers import snap_safety_shard
-
-    if protocol is not None and protocol_factory is None:
-        raise ParallelError(
-            "sharded check_snap_safety cannot ship a protocol instance "
-            "across the pickle boundary; pass protocol_factory= (a "
-            "module-level (network, root) -> SnapPif callable) instead"
-        )
-    factory = protocol_factory or SnapPif.for_network
-    k = factory(network, root).constants
-    total = count_initiation_configurations(network, k)
-    effective = (
-        total if max_configurations is None else min(total, max_configurations)
-    )
-    tasks = _shard_tasks(
-        network,
-        root,
-        "snap-safety",
-        effective,
-        shards,
-        protocol_factory,
-        {
-            "max_states": max(1, max_states // max(1, shards or DEFAULT_SHARDS)),
-            "stop_at_first": stop_at_first,
-            "memo": memo,
-            "memo_capacity": memo_capacity,
-            "validate_memo": validate_memo,
-            "replay_counterexamples": replay_counterexamples,
-        },
-    )
-    if not tasks:
-        result = ModelCheckResult(property_name="snap-safety (PIF1 ∧ PIF2)")
-        result.stats = ModelCheckStats()
-        if effective < total:
-            result.complete = False
-            result.truncation = (
-                f"max_configurations={max_configurations} reached"
-            )
-        return result
-    executor = ParallelExecutor(
-        snap_safety_shard, jobs=jobs, timeout=task_timeout
-    )
-    outcomes = executor.map(tasks)
-    raise_failures(outcomes)
-    merged = merge_model_check_results(
-        outcomes,
-        property_name="snap-safety (PIF1 ∧ PIF2)",
-        stop_at_first=stop_at_first,
-    )
-    if effective < total:
-        merged.complete = False
-        cap_note = f"max_configurations={max_configurations} reached"
-        merged.truncation = (
-            f"{merged.truncation}; {cap_note}" if merged.truncation else cap_note
-        )
-    return merged
 
 
 def _check_sharded_sweep(

@@ -1,10 +1,9 @@
 """The non-negotiable contract: parallel ≡ serial, bit for bit.
 
-Every wired entry point — campaigns, the snap-safety sweep, the
-synchronous liveness and convergence sweeps — must produce identical
-verdicts, counterexamples and tapes at ``jobs`` ∈ {1, 2, 4}, and
-(except for memo-dependent coverage counters on the safety sweep,
-see DESIGN.md §9) identical results to the classic serial path.
+Every wired entry point — campaigns and the synchronous liveness and
+convergence sweeps — must produce identical verdicts, counterexamples
+and tapes at ``jobs`` ∈ {1, 2, 4}, and identical results to the
+classic serial path.
 A permanently failing worker must surface the failing grid cell's
 identity, not a bare exception.
 """
@@ -132,34 +131,14 @@ class TestCampaign:
 
 
 class TestSnapSafety:
-    def test_sharded_equals_across_jobs(self) -> None:
-        net = line(3)
-        reference = None
-        for jobs in JOBS:
-            sig = _check_sig(check_snap_safety(net, max_states=50_000, jobs=jobs))
-            if reference is None:
-                reference = sig
-            assert sig == reference, jobs
-
-    def test_sharded_matches_serial_verdict(self) -> None:
-        net = line(3)
-        serial = check_snap_safety(net, max_states=50_000)
-        sharded = check_snap_safety(net, max_states=50_000, jobs=2)
-        assert _check_sig(serial) == _check_sig(sharded)
-
-    def test_mutant_counterexample_identical(self) -> None:
+    def test_mutant_counterexample_identical(self, monkeypatch) -> None:
+        # The snap-safety sweep stays serial: the memo it shares across
+        # initiations is what makes it fast.  Its first counterexample
+        # must not depend on how the protocol is supplied or on the memo.
         factory = MUTANT_FACTORIES["mutant-eager-fok"]
         net = line(3)
-        serial = check_snap_safety(
-            net, protocol=factory(net, 0), max_states=50_000, stop_at_first=True
-        )
-        assert serial.counterexamples
 
         def ctx_sig(result):
-            # With stop_at_first every shard stops at its own first hit,
-            # so the summed coverage counters legitimately exceed the
-            # serial early stop — the counterexample must still be the
-            # serial one (the earliest in enumeration order).
             return (
                 result.complete,
                 [
@@ -168,25 +147,21 @@ class TestSnapSafety:
                 ],
             )
 
-        reference = None
-        for jobs in JOBS:
-            sharded = check_snap_safety(
+        serial = check_snap_safety(
+            net, protocol=factory(net, 0), max_states=50_000, stop_at_first=True
+        )
+        assert serial.counterexamples
+        assert not serial.ok
+        reference = ctx_sig(serial)
+        for memo in ("1", "0"):
+            monkeypatch.setenv("REPRO_MODELCHECK_MEMO", memo)
+            again = check_snap_safety(
                 net,
                 protocol_factory=factory,
                 max_states=50_000,
                 stop_at_first=True,
-                jobs=jobs,
             )
-            if reference is None:
-                reference = ctx_sig(sharded)
-                assert reference == ctx_sig(serial)
-            assert ctx_sig(sharded) == reference, jobs
-
-    def test_protocol_instance_rejected_in_parallel(self) -> None:
-        net = line(3)
-        protocol = MUTANT_FACTORIES["mutant-eager-fok"](net, 0)
-        with pytest.raises(ParallelError):
-            check_snap_safety(net, protocol=protocol, jobs=2)
+            assert ctx_sig(again) == reference, memo
 
 
 class TestSynchronousSweeps:

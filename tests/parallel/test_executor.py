@@ -13,6 +13,7 @@ from repro.parallel.executor import (
     chunk_ranges,
     raise_failures,
     resolve_jobs,
+    resolve_worker_count,
 )
 
 
@@ -71,9 +72,14 @@ class TestResolveJobs:
     def test_env_fallback(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_JOBS", "2")
         assert resolve_jobs(None) == 2
+        # resolve_jobs is the shared worker-count helper under its name.
+        assert resolve_worker_count(None, env_var="REPRO_JOBS", name="jobs") == 2
 
     def test_unset_means_none(self, monkeypatch) -> None:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert resolve_jobs(None) is None
+        # Whitespace-only means unset, like an empty value.
+        monkeypatch.setenv("REPRO_JOBS", " ")
         assert resolve_jobs(None) is None
 
     def test_invalid_values_raise(self, monkeypatch) -> None:
@@ -84,7 +90,7 @@ class TestResolveJobs:
             resolve_jobs(0)
 
     def test_zero_rejected_with_value_in_message(self) -> None:
-        with pytest.raises(ParallelError, match="got 0"):
+        with pytest.raises(ParallelError, match="^jobs must be >= 1, got 0$"):
             resolve_jobs(0)
 
     def test_negative_rejected_with_value_in_message(self) -> None:
@@ -94,15 +100,27 @@ class TestResolveJobs:
     def test_non_integer_rejected(self) -> None:
         with pytest.raises(ParallelError, match="2.5"):
             resolve_jobs(2.5)  # type: ignore[arg-type]
-        with pytest.raises(ParallelError, match="True"):
-            resolve_jobs(True)  # type: ignore[arg-type]
+        with pytest.raises(ParallelError, match="2.0"):
+            resolve_jobs(2.0)  # type: ignore[arg-type]
+        # bool is an int subclass but never a worker count; the error
+        # names the knob, the value and its type.
+        for flag in (True, False):
+            with pytest.raises(ParallelError) as err:
+                resolve_jobs(flag)  # type: ignore[arg-type]
+            assert str(err.value) == (
+                f"jobs must be a positive integer, got {flag!r} (bool)"
+            )
         with pytest.raises(ParallelError, match="'4'"):
             resolve_jobs("4")  # type: ignore[arg-type]
 
     def test_garbage_env_names_variable_and_value(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ParallelError, match=r"REPRO_JOBS.*'lots'"):
-            resolve_jobs(None)
+        for raw in ("lots", "two", "1.5", "1e3"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            with pytest.raises(ParallelError) as err:
+                resolve_jobs(None)
+            assert str(err.value) == (
+                f"REPRO_JOBS must be a positive integer, got {raw!r}"
+            )
 
     def test_nonpositive_env_names_variable_and_value(
         self, monkeypatch

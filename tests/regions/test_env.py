@@ -1,12 +1,18 @@
-"""Knob hardening for ``REPRO_REGION_PARALLEL`` / ``REPRO_REGION_THREADS``.
+"""Knob hardening shared by every worker-count and engine switch.
 
-The thread-count knob shares ``resolve_worker_count`` with
-``resolve_jobs`` (PR 5's precedence + named-value validation), so bad
-values must fail loudly with the offending value in the error, and an
-explicit argument must beat the environment.
+Worker-count knobs go through ``resolve_worker_count`` (the precedence
+and named-value validation ``resolve_jobs`` and the wave service's
+knobs use), so bad values must fail loudly with the offending value in
+the error, and an explicit argument must beat the environment.  Boolean
+switches follow the ``REPRO_ENGINE_VALIDATE`` convention: any value
+other than empty or ``0`` turns them on.  These cases once guarded the
+region-parallel daemon's knobs (DESIGN.md §14); they now pin the shared
+resolvers that remain.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -16,56 +22,55 @@ from repro.parallel.executor import (
     resolve_jobs,
     resolve_worker_count,
 )
-from repro.regions import (
-    MAX_DEFAULT_REGION_THREADS,
-    resolve_region_parallel,
-    resolve_region_threads,
+from repro.runtime.simulator import resolve_engine
+
+#: A sample knob: the resolver takes its variable and name as inputs.
+THREADS_ENV = "REPRO_SAMPLE_THREADS"
+resolve_threads = partial(
+    resolve_worker_count, env_var=THREADS_ENV, name="sample threads"
 )
 
 
 class TestRegionThreads:
     def test_explicit_value_wins_over_environment(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_REGION_THREADS", "7")
-        assert resolve_region_threads(3) == 3
+        monkeypatch.setenv(THREADS_ENV, "7")
+        assert resolve_threads(3) == 3
 
     def test_environment_fallback(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_REGION_THREADS", "5")
-        assert resolve_region_threads() == 5
-
-    def test_default_is_capped_cpu_count(self, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_REGION_THREADS", raising=False)
-        value = resolve_region_threads()
-        assert 1 <= value <= MAX_DEFAULT_REGION_THREADS
+        monkeypatch.setenv(THREADS_ENV, "5")
+        assert resolve_threads(None) == 5
 
     @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5", " "])
     def test_garbage_environment_names_the_value(
         self, monkeypatch, bad
     ) -> None:
-        monkeypatch.setenv("REPRO_REGION_THREADS", bad)
+        monkeypatch.setenv(THREADS_ENV, bad)
         if not bad.strip():
             # Whitespace-only means unset, like REPRO_JOBS.
-            assert resolve_region_threads() >= 1
+            assert resolve_threads(None) is None
             return
         with pytest.raises(ParallelError) as err:
-            resolve_region_threads()
-        assert "REPRO_REGION_THREADS" in str(err.value)
-        assert repr(bad) in str(err.value)
+            resolve_threads(None)
+        assert str(err.value) == (
+            f"{THREADS_ENV} must be a positive integer, got {bad!r}"
+        )
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "4"])
     def test_bad_explicit_value_is_rejected(self, bad) -> None:
         with pytest.raises(ParallelError) as err:
-            resolve_region_threads(bad)
-        assert "region threads" in str(err.value)
+            resolve_threads(bad)
+        assert str(err.value).startswith("sample threads must be ")
+        assert str(bad) in str(err.value)
 
     def test_shares_resolve_jobs_precedence_helper(self, monkeypatch) -> None:
-        # Both knobs are the same helper under different names — the
-        # satellite contract: no duplicated precedence logic.
+        # resolve_jobs is the same helper under its own name: no
+        # duplicated precedence logic.
         monkeypatch.setenv("REPRO_JOBS", "6")
         assert resolve_jobs() == resolve_worker_count(
             None, env_var="REPRO_JOBS", name="jobs"
         )
-        monkeypatch.setenv("REPRO_REGION_THREADS", "6")
-        assert resolve_region_threads() == 6
+        monkeypatch.setenv(THREADS_ENV, "6")
+        assert resolve_threads(None) == 6
 
     def test_jobs_error_wording_unchanged(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_JOBS", "zero")
@@ -76,41 +81,26 @@ class TestRegionThreads:
 
 
 class TestRegionParallel:
+    """The boolean convention, on the engine-validation switch."""
+
     def test_default_off(self, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_REGION_PARALLEL", raising=False)
-        assert resolve_region_parallel() is False
+        monkeypatch.delenv("REPRO_ENGINE_VALIDATE", raising=False)
+        assert resolve_engine()[1] is False
 
     @pytest.mark.parametrize("raw,expect", [("", False), ("0", False), ("1", True), ("yes", True)])
     def test_environment_truthiness(self, monkeypatch, raw, expect) -> None:
-        monkeypatch.setenv("REPRO_REGION_PARALLEL", raw)
-        assert resolve_region_parallel() is expect
+        monkeypatch.setenv("REPRO_ENGINE_VALIDATE", raw)
+        assert resolve_engine()[1] is expect
 
     def test_explicit_wins(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_REGION_PARALLEL", "1")
-        assert resolve_region_parallel(False) is False
-        monkeypatch.setenv("REPRO_REGION_PARALLEL", "0")
-        assert resolve_region_parallel(True) is True
+        monkeypatch.setenv("REPRO_ENGINE_VALIDATE", "1")
+        assert resolve_engine(validate_engine=False)[1] is False
+        monkeypatch.setenv("REPRO_ENGINE_VALIDATE", "0")
+        assert resolve_engine(validate_engine=True)[1] is True
 
 
 class TestCliFlags:
-    def test_parser_accepts_region_flags(self) -> None:
-        args = build_parser().parse_args(
-            ["demo", "--engine", "columnar", "--region-parallel",
-             "--region-threads", "2"]
-        )
-        assert args.region_parallel is True
-        assert args.region_threads == 2
-
     def test_flags_default_to_unset(self) -> None:
-        args = build_parser().parse_args(["demo"])
-        assert args.region_parallel is None
-        assert args.region_threads is None
-
-    def test_bad_region_threads_fails_at_the_command_line(
-        self, monkeypatch, capsys
-    ) -> None:
-        from repro.cli import main
-
-        monkeypatch.delenv("REPRO_REGION_THREADS", raising=False)
-        with pytest.raises(ParallelError, match="region threads must be >= 1, got 0"):
-            main(["demo", "--engine", "columnar", "--region-threads", "0"])
+        # Unset flags leave the REPRO_ENGINE / REPRO_JOBS knobs in charge.
+        assert build_parser().parse_args(["demo"]).engine is None
+        assert build_parser().parse_args(["verify"]).jobs is None

@@ -1,17 +1,20 @@
-"""Unit pins for the region partitioner (topological edge cases).
+"""Unit pins for the region partitioner of the commutation oracle.
 
-The partitioner's contract: selected nodes land in the same region iff
-their closed neighborhoods intersect (distance ≤ 2), regions come back
-ordered by ascending minimum selected node, each region's nodes are
-ascending, and the claimed footprints are disjoint and sum to
-``|U ∪ N(U)|``.
+``tests/regions/regionwise.py`` splits a daemon selection into the
+regions of DESIGN.md §14; the commutation sweep in
+``test_region_step.py`` trusts that split, so it is pinned here on
+topological edge cases.  The contract: selected nodes land in the same
+region iff their closed neighborhoods intersect (distance ≤ 2),
+regions come back ordered by ascending minimum selected node, each
+region's nodes are ascending, and the claimed footprints are disjoint
+and sum to ``|U ∪ N(U)|``.
 """
 
 from __future__ import annotations
 
 from repro.columnar.compiler import csr_for
 from repro.graphs import by_name
-from repro.regions import partition_selection
+from tests.regions.regionwise import partition_selection
 
 
 def _partition(family: str, n: int, selected: list[int]):

@@ -1,14 +1,16 @@
-"""Randomized equivalence sweep: parallel regions vs serial columnar.
+"""Randomized commutation sweep: region-wise steps vs the one-shot step.
 
-The determinism contract of DESIGN.md §14, executed: for 200 randomized
-runs (50 seeds × 4 protocols) over mixed daemons and topology families,
-with a mid-run crash, topology churn, a transient corruption fault and
-a recovery, the region-parallel columnar runs at thread counts
-{1, 2, 4} are **bit-identical** to the serial columnar run — the same
-steps / rounds / moves, action histograms, schedules and final
-configurations.  The serial leg runs with lockstep validation on, so it
-is itself pinned to the object engine; transitivity pins the parallel
-legs too.
+The commutation argument of DESIGN.md §14, executed: for 200
+randomized runs (50 seeds × 4 protocols) over mixed daemons and
+topology families, with a mid-run crash, topology churn, a transient
+corruption fault and a recovery, a run whose every selection is
+executed region by region with the kernel's public step primitives
+(``tests/regions/regionwise.py``) — in ascending, descending and
+shuffled region order — is **bit-identical** to the serial columnar
+run: the same steps / rounds / moves, action histograms, schedules and
+final configurations.  The serial leg runs with lockstep validation
+on, so it is itself pinned to the object engine; transitivity pins the
+region-wise legs too.
 
 ``REPRO_COLUMNAR_BACKEND`` selects the backend, so the CI matrix covers
 pure and numpy.
@@ -33,6 +35,8 @@ from repro.runtime.daemons import (
 from repro.runtime.network import Network
 from repro.runtime.protocol import Protocol
 from repro.runtime.simulator import Simulator
+
+from tests.regions.regionwise import execute_by_regions, partition_selection
 
 FAMILIES = (
     "line",
@@ -69,6 +73,41 @@ FAULT_AT = 15
 RECOVER_AT = 20
 
 
+def _orders(seed: int) -> dict:
+    def shuffled(regions):
+        Random(seed).shuffle(regions)
+        return regions
+
+    return {
+        "ascending": lambda regions: regions,
+        "descending": lambda regions: regions[::-1],
+        "shuffled": shuffled,
+    }
+
+
+def _step_region_wise(sim: Simulator, order) -> list[int]:
+    """Route ``sim``'s steps through :func:`execute_by_regions`.
+
+    Returns a list that collects the region count of every step.  The
+    runtime's current kernel is looked up per step, so a topology
+    rebuild is picked up.
+    """
+    runtime = sim._columnar
+    counts: list[int] = []
+
+    def execute_selection(selection):
+        kernel = runtime.kernel
+        assert not kernel.spec.object_statements
+        csr = kernel.csr
+        counts.append(
+            len(partition_selection(sorted(selection), csr.indptr, csr.indices))
+        )
+        return execute_by_regions(kernel, selection, order)
+
+    runtime.execute_selection = execute_selection
+    return counts
+
+
 def _bfs_parents(net: Network, root: int = 0) -> dict[int, int | None]:
     levels = net.bfs_levels(root)
     return {
@@ -96,8 +135,7 @@ def _drive(
     net: Network,
     seed: int,
     *,
-    region_parallel: bool,
-    region_threads: int | None = None,
+    order=None,
     validate: bool = False,
 ) -> tuple:
     """Run a faulted execution; return its observable outcome."""
@@ -112,9 +150,9 @@ def _drive(
         trace_level="selections",
         engine="columnar",
         validate_engine=validate,
-        region_parallel=region_parallel,
-        region_threads=region_threads,
     )
+    if order is not None:
+        _step_region_wise(sim, order)
     for step in range(STEPS):
         if step == CRASH_AT:
             sim.crash([1])
@@ -148,54 +186,53 @@ def test_parallel_regions_bit_identical_to_serial_columnar(
     kind: str, seed: int
 ) -> None:
     net = by_name(FAMILIES[seed % len(FAMILIES)], 5 + seed % 5)
-    serial = _drive(kind, net, seed, region_parallel=False, validate=True)
-    for threads in (1, 2, 4):
-        parallel = _drive(
-            kind, net, seed, region_parallel=True, region_threads=threads
-        )
-        assert parallel == serial, f"threads={threads}"
+    serial = _drive(kind, net, seed, validate=True)
+    for name, order in _orders(seed).items():
+        region_wise = _drive(kind, net, seed, order=order)
+        assert region_wise == serial, name
 
 
 class TestComposition:
-    def test_region_parallel_composes_with_lockstep_validation(self) -> None:
-        # REPRO_ENGINE_VALIDATE + REPRO_REGION_PARALLEL is a CI leg:
-        # the validator re-checks every region-merged step against the
-        # object engine and must stay silent.
-        net = by_name("random-sparse", 12)
+    def test_environment_knobs_reach_the_runtime(self, monkeypatch) -> None:
+        monkeypatch.setenv("REPRO_ENGINE", "columnar")
+        monkeypatch.setenv("REPRO_ENGINE_VALIDATE", "1")
+        monkeypatch.setenv("REPRO_COLUMNAR_BACKEND", "pure")
+        net = by_name("ring", 8)
+        protocol = SnapPif.for_network(net)
+        sim = Simulator(protocol, net)
+        assert sim.engine == "columnar"
+        assert sim.validate_engine is True
+        assert sim._columnar is not None
+        assert sim._columnar.backend == "pure"
+        assert sim._columnar.kernel.backend == "pure"
+
+    def test_serial_default_builds_no_stepper(self, monkeypatch) -> None:
+        # The columnar runtime has one stepping path: each step is one
+        # call of the kernel's own execute_selection.
+        net = by_name("ring", 8)
         protocol = SnapPif.for_network(net)
         sim = Simulator(
             protocol,
             net,
-            DistributedRandomDaemon(0.5),
-            configuration=protocol.random_configuration(net, Random(11)),
-            seed=4,
+            SynchronousDaemon(),
+            configuration=protocol.random_configuration(net, Random(2)),
             engine="columnar",
-            validate_engine=True,
-            region_parallel=True,
-            region_threads=2,
         )
-        for _ in range(25):
+        kernel = sim._columnar.kernel
+        calls: list[int] = []
+        execute = kernel.execute_selection
+
+        def counting(selection):
+            calls.append(len(selection))
+            return execute(selection)
+
+        monkeypatch.setattr(kernel, "execute_selection", counting)
+        for _ in range(10):
             if sim.step() is None:
                 break
-        assert protocol.enabled_map(sim.configuration, net) == sim._enabled
-
-    def test_environment_knobs_reach_the_runtime(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_REGION_PARALLEL", "1")
-        monkeypatch.setenv("REPRO_REGION_THREADS", "2")
-        net = by_name("ring", 8)
-        protocol = SnapPif.for_network(net)
-        sim = Simulator(protocol, net, engine="columnar")
-        assert sim._columnar.region_parallel is True
-        assert sim._columnar.region_threads == 2
-        assert sim._columnar._stepper is not None
-        assert sim._columnar._stepper.threads == 2
-
-    def test_serial_default_builds_no_stepper(self, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_REGION_PARALLEL", raising=False)
-        net = by_name("ring", 8)
-        protocol = SnapPif.for_network(net)
-        sim = Simulator(protocol, net, engine="columnar")
-        assert sim._columnar._stepper is None
+        assert sim.steps > 0
+        assert len(calls) == sim.steps
+        assert sum(calls) == sim.moves
 
     def test_churn_rebuilds_the_stepper_for_the_new_topology(self) -> None:
         net = by_name("ring", 10)
@@ -203,21 +240,23 @@ class TestComposition:
         sim = Simulator(
             protocol,
             net,
+            SynchronousDaemon(),
             configuration=protocol.random_configuration(net, Random(2)),
             seed=3,
             engine="columnar",
-            region_parallel=True,
-            region_threads=2,
         )
-        before = sim._columnar._stepper
-        assert before is not None
-        sim.apply_topology(by_name("random-dense", 10))
-        after = sim._columnar._stepper
-        assert after is not None and after is not before
-        assert after.kernel is sim._columnar.kernel
+        counts = _step_region_wise(sim, lambda regions: regions[::-1])
+        before = sim._columnar.kernel
+        sim.apply_topology(by_name("random-tree", 10))
+        after = sim._columnar.kernel
+        assert after is not before
+        assert after.network == sim.network
         for _ in range(20):
             if sim.step() is None:
                 break
+        # The region-wise steps ran on the rebuilt kernel, and some
+        # selection really split into several regions.
+        assert counts and max(counts) >= 2
         assert (
             protocol.enabled_map(sim.configuration, sim.network)
             == sim._enabled

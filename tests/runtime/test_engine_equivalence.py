@@ -154,11 +154,25 @@ class TestNoOpWrites:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self) -> None:
+    def test_unknown_engine_rejected(self, monkeypatch) -> None:
         from repro.errors import ScheduleError
+        from repro.messaging import MessageSimulator
 
-        with pytest.raises(ScheduleError, match="unknown engine"):
-            Simulator(_NoopProtocol(), ring(4), engine="psychic")
+        expected = (
+            "unknown engine 'psychic'; expected 'incremental', 'full' or "
+            "'columnar'"
+        )
+        # Both simulators share one resolver: same bad value, same
+        # message, whether it arrives as an argument or from the env.
+        for cls in (Simulator, MessageSimulator):
+            with pytest.raises(ScheduleError) as excinfo:
+                cls(_NoopProtocol(), ring(4), engine="psychic")
+            assert str(excinfo.value) == expected
+            with monkeypatch.context() as m:
+                m.setenv("REPRO_ENGINE", "psychic")
+                with pytest.raises(ScheduleError) as excinfo:
+                    cls(_NoopProtocol(), ring(4))
+            assert str(excinfo.value) == expected
 
     def test_env_override(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_ENGINE", "full")

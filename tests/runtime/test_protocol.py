@@ -154,6 +154,24 @@ class TestActionCacheKeying:
         gc.collect()
         assert len(probe._action_cache) == 0
 
+    def test_warm_lookup_does_not_compare_adjacency(self) -> None:
+        """A cache hit must cost O(1), not an O(N) adjacency comparison:
+        looking a network up must not compare it with itself entry by
+        entry."""
+
+        class _NoCompare(tuple):
+            def __eq__(self, other):
+                raise AssertionError("adjacency compared on a cache hit")
+
+            __hash__ = tuple.__hash__
+
+        probe = _OrderProbe()
+        net = Network({0: [1, 2], 1: [0, 2], 2: [0, 1]})
+        hash(net)  # cache the hash before swapping the adjacency
+        first = probe.node_actions(0, net)
+        net._neighbors = _NoCompare(net._neighbors)
+        assert probe.node_actions(0, net) is first
+
 
 class TestIncrementalEnabledMap:
     def _net(self) -> Network:

@@ -105,19 +105,6 @@ class TestJobsBitIdentity:
             >= metrics["chaos.shrink.accepted"]["value"]
         )
 
-    def test_snap_safety(self):
-        def make_run(jobs):
-            return lambda: check_snap_safety(
-                line(3), max_states=3000, jobs=jobs
-            )
-
-        snapshot = _assert_identical_across_jobs(make_run)
-        metrics = snapshot["metrics"]
-        base = "check.snap-safety (PIF1 ∧ PIF2)"
-        assert metrics[f"{base}.states_explored"]["value"] > 0
-        assert metrics[f"{base}.counterexamples"]["value"] == 0
-        assert metrics["modelcheck.memo.hits"]["value"] >= 0
-
     def test_cycle_liveness(self):
         def make_run(jobs):
             return lambda: check_cycle_liveness_synchronous(

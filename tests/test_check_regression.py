@@ -253,7 +253,6 @@ class TestUpdateBaselines:
             "speedup_incremental_over_full",
             "speedup_columnar_over_incremental",
             "speedup_columnar_over_incremental_by_protocol",
-            "speedup_parallel_regions_over_serial",
         )
 
 
