@@ -176,7 +176,9 @@ LARGE_TABLE = TableCollector(
     columns=["network", "protocol", "engine", "steps", "steps/sec"],
 )
 
-#: Steady-state step budgets, matching ``bench_engine.py``'s sizes.
+#: Step budgets per size.  These are short shots from a fresh simulator,
+#: so the rates include cold start and are not comparable with the warm
+#: ``pif-ring-65536`` workload of ``benchmarks/e2e/run.py``.
 LARGE_CASES = [(16_384, 80), (65_536, 30)]
 
 

@@ -9,96 +9,20 @@ every collected table in the terminal summary, so running::
 
     pytest benchmarks/ --benchmark-only
 
-produces both the timing tables and the reproduction tables.
+produces both the timing tables and the reproduction tables.  The
+end-to-end speed of the program is measured separately, by
+``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
 
-import os
-import platform
-from typing import Callable
-
 from repro.reporting import render_table
 
-__all__ = [
-    "TableCollector",
-    "ALL_TABLES",
-    "JSON_REPORTS",
-    "host_metadata",
-    "repeat_median",
-]
-
-
-def _cpu_model() -> str:
-    """Best-effort CPU model string (``/proc/cpuinfo`` on Linux)."""
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.lower().startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
-
-
-def host_metadata() -> dict:
-    """The host shape a benchmark ran on, embedded in every report.
-
-    Speedup numbers — especially the parallel ones — are only
-    interpretable relative to the machine that produced them;
-    ``check_regression.py`` warns (without failing) when the current
-    host shape differs from the baseline's.
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "cpu_model": _cpu_model(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-def repeat_median(
-    measure: Callable[[], dict], *, key: str, repeats: int = 5
-) -> dict:
-    """Run a measurement several times and report the median of ``key``.
-
-    Single-shot timings on multi-core hosts are noisy — scheduler
-    interference, turbo states, page-cache effects — so speedup claims
-    need medians over repeats (the ROADMAP's multi-run statistical
-    benchmarking item).  ``measure`` returns a measurement dict whose
-    ``key`` entry is the metric of interest; the result carries the
-    median/min/max of that metric across ``repeats`` runs, all raw
-    values, and ``sample`` — the run whose metric is closest to the
-    median (use its other fields for reporting, so every reported
-    number comes from one actual run).
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    samples = [measure() for _ in range(repeats)]
-    values = sorted(float(s[key]) for s in samples)
-    mid = len(values) // 2
-    if len(values) % 2:
-        median = values[mid]
-    else:
-        median = (values[mid - 1] + values[mid]) / 2
-    sample = min(samples, key=lambda s: abs(float(s[key]) - median))
-    return {
-        "median": median,
-        "min": values[0],
-        "max": values[-1],
-        "repeats": repeats,
-        "values": values,
-        "sample": sample,
-    }
+__all__ = ["TableCollector", "ALL_TABLES"]
 
 
 #: Global registry of experiment tables, printed by the conftest hook.
 ALL_TABLES: list["TableCollector"] = []
-
-#: Machine-readable reports: ``(filename, build)`` pairs.  At session
-#: end, ``benchmarks/conftest.py`` calls each ``build()`` and writes the
-#: returned payload as JSON to ``<repo root>/<filename>``; a ``None``
-#: payload (no rows collected this session) is skipped.
-JSON_REPORTS: list[tuple[str, Callable[[], dict | None]]] = []
 
 
 class TableCollector:

@@ -1,16 +1,9 @@
-"""Benchmark-suite conftest: print experiment tables, write JSON reports."""
+"""Benchmark-suite conftest: print the experiment tables."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from benchmarks.common import ALL_TABLES, JSON_REPORTS, host_metadata
+from benchmarks.common import ALL_TABLES
 from repro import telemetry
-
-#: JSON reports land at the repository root so their trajectory is
-#: tracked PR over PR (BENCH_engine.json et al.).
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def pytest_configure(config) -> None:
@@ -37,14 +30,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
             printed_header = True
         terminalreporter.write_line("")
         terminalreporter.write_line(rendered)
-
-    for filename, build in JSON_REPORTS:
-        payload = build()
-        if payload is None:
-            continue
-        # Every report carries the host shape it was measured on —
-        # injected here so no bench module can forget it.
-        payload.setdefault("host", host_metadata())
-        path = REPO_ROOT / filename
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        terminalreporter.write_line(f"wrote {path}")

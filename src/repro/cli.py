@@ -18,8 +18,9 @@ Commands
     link churn, daemon swaps) against the snap-stabilizing PIF and
     report violations of the PIF specification.
 ``bench``
-    Run benchmark modules from ``benchmarks/`` (requires a source
-    checkout) and write their ``BENCH_*.json`` artifacts.
+    Run the paper-experiment benchmark modules from ``benchmarks/``
+    (requires a source checkout) and print their paper-vs-measured
+    tables.  Speed is measured by ``benchmarks/e2e/run.py`` instead.
 ``serve``
     Run the asyncio wave service on a named topology and serve a
     deterministic client workload of typed wave requests, printing the
@@ -205,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_telemetry_arg(chaos)
 
     bench = sub.add_parser(
-        "bench", help="run benchmark modules and write BENCH_*.json artifacts"
+        "bench", help="run the paper-experiment benchmark modules"
     )
     bench.add_argument(
         "modules",
         nargs="*",
-        help="benchmark module names (e.g. 'parallel' for "
-        "benchmarks/bench_parallel.py); default: all",
+        help="benchmark module names (e.g. 'theorem2' for "
+        "benchmarks/bench_theorem2.py); default: all",
     )
     bench.add_argument(
         "--list",
@@ -532,14 +533,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run benchmark modules through pytest, writing BENCH_*.json artifacts.
+    """Run the paper-experiment benchmark modules through pytest.
 
     The benchmark suite lives in ``benchmarks/`` next to ``src/`` (not
     inside the package), so this command needs a source checkout; the
-    JSON artifacts land at the repository root exactly as they do when
-    invoking pytest directly.  ``--jobs`` is forwarded to the wired
-    parallel layers via the ``REPRO_JOBS`` environment variable, so
-    every campaign and sweep a benchmark runs picks it up.
+    experiment tables print exactly as they do when invoking pytest
+    directly.  End-to-end speed is measured by ``benchmarks/e2e/run.py``
+    and compared between commits with ``run.py compare``.  ``--jobs``
+    is forwarded to the wired parallel layers via the ``REPRO_JOBS``
+    environment variable, so every campaign and sweep a benchmark runs
+    picks it up.
     """
     import os
     import subprocess

@@ -38,12 +38,13 @@ def render_model_check(result: ModelCheckResult) -> str:
             f"memo={'on' if stats.memo_enabled else 'off'}"
         )
         if stats.memo_enabled:
-            lines.append(
-                f"  transition memo: {stats.memo_entries} entries "
-                f"(cap {stats.memo_capacity}), "
-                f"hit rate {stats.memo_hit_rate:.1%}, "
-                f"{stats.memo_evictions} evictions"
-            )
+            if stats.memo_capacity:
+                lines.append(
+                    f"  transition memo: {stats.memo_entries} entries "
+                    f"(cap {stats.memo_capacity}), "
+                    f"hit rate {stats.memo_hit_rate:.1%}, "
+                    f"{stats.memo_evictions} evictions"
+                )
             lines.append(
                 f"  view memo: hit rate {stats.view_hit_rate:.1%}; "
                 f"interned {stats.interned_configurations} configurations "

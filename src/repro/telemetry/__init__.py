@@ -9,7 +9,8 @@ the engine guard on the module-level :data:`enabled` flag::
         _telemetry.registry.inc("sim.steps")
 
 so with telemetry off (the default) the cost per call site is one
-module-attribute check — verified by ``benchmarks/bench_telemetry.py``.
+module-attribute check.  ``benchmarks/e2e/run.py`` measures the engine
+in that state, and ``run.py compare`` gates it between commits.
 Hot loops that fire many times per step should hoist metric objects
 (``Counter``/``Histogram``) once and bump ``.value`` directly.
 

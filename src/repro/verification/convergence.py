@@ -35,7 +35,6 @@ from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.state import Configuration
 from repro.verification.model_check import (
-    DEFAULT_MEMO_CAPACITY,
     Counterexample,
     ModelCheckMemo,
     ModelCheckResult,
@@ -146,20 +145,12 @@ def check_convergence_synchronous(
     if validate_memo is None:
         validate_memo = _validate_default()
     engine = (
-        ModelCheckMemo(
-            protocol,
-            network,
-            capacity=DEFAULT_MEMO_CAPACITY,
-            validate=validate_memo,
-        )
+        ModelCheckMemo(protocol, network, validate=validate_memo)
         if memo
         else None
     )
     result = ModelCheckResult(property_name=_CONVERGENCE_PROPERTY)
-    stats = ModelCheckStats(
-        memo_enabled=engine is not None,
-        memo_capacity=DEFAULT_MEMO_CAPACITY if engine is not None else 0,
-    )
+    stats = ModelCheckStats(memo_enabled=engine is not None)
     result.stats = stats
     normal_budget = bounds.normalization_bound(k.l_max)
     sbn_budget = bounds.glt_bound(k.l_max) + bounds.cycle_bound(k.l_max) + 4
@@ -412,8 +403,7 @@ def check_normal_closure(
     evaluation goes through the local-view memo of
     :class:`~repro.verification.model_check.ModelCheckMemo`; the
     ``(configuration, selection)`` pairs of this sweep never recur, so
-    successors bypass the transition memo entirely
-    (:meth:`~repro.verification.model_check.ModelCheckMemo.successor`).
+    it runs without a transition memo.
     Counterexamples are confirmed by replaying the single offending step
     through the real simulator (``replay_counterexamples``).
     """
@@ -425,20 +415,12 @@ def check_normal_closure(
     if validate_memo is None:
         validate_memo = _validate_default()
     engine = (
-        ModelCheckMemo(
-            protocol,
-            network,
-            capacity=DEFAULT_MEMO_CAPACITY,
-            validate=validate_memo,
-        )
+        ModelCheckMemo(protocol, network, capacity=None, validate=validate_memo)
         if memo
         else None
     )
     result = ModelCheckResult(property_name="closure of normal configurations")
-    stats = ModelCheckStats(
-        memo_enabled=engine is not None,
-        memo_capacity=DEFAULT_MEMO_CAPACITY if engine is not None else 0,
-    )
+    stats = ModelCheckStats(memo_enabled=engine is not None)
     result.stats = stats
 
     def emit(config: Configuration, step: tuple, bad: set[int]) -> None:
@@ -474,7 +456,9 @@ def check_normal_closure(
                 enabled = engine.enabled_map(config)
                 for selection, step in _selections(enabled):
                     result.transitions_explored += 1
-                    after, _dirty = engine.successor(config, selection)
+                    after, _dirty, _joins, _joins_key = engine.transition(
+                        config, selection, step
+                    )
                     bad = defs.abnormal_nodes(after, network, k)
                     if bad:
                         emit(config, step, bad)

@@ -49,10 +49,11 @@ redundancy at three layers, all exact (see docs/API.md and DESIGN.md §7):
    ``(node, view)``;
 3. a bounded LRU **transition memo** keyed by
    ``(configuration, selection signature)`` holding the already-computed
-   ``(successor, dirty set, join parents)`` — shared across all
-   initiation configurations and all first selections, so a transition
-   explored from one entry path is never recomputed from another —
-   plus an enabled-map-by-configuration cache for successors.
+   ``(successor, dirty set, join parents)``, for the synchronous sweeps
+   whose executions from different initiation configurations converge
+   onto shared suffixes.  The snap-safety search runs without it: its
+   visited set already expands every tagged state once, so no
+   ``(configuration, selection)`` pair is ever computed twice.
 
 ``REPRO_MODELCHECK_MEMO=0`` disables the engine;
 ``REPRO_MODELCHECK_VALIDATE=1`` cross-checks every memoized result
@@ -304,6 +305,11 @@ class WaveTag:
         ``before`` directly.  ``step`` optionally supplies ``selection``
         as the already-sorted ``((node, action name), ...)`` signature
         so the advance need not re-sort it.
+
+        Every move of a step reads the pre-step configuration, so every
+        check here reads the pre-step tag: a join or acknowledgment made
+        in the same step as the root's F-action does not count for it,
+        whatever the node numbering.
         """
         root = protocol.root
         n = network.n
@@ -318,15 +324,15 @@ class WaveTag:
         for node, name in step:
             if node == root:
                 if name == "F-action":
-                    if len(members) != n:
+                    if len(self.members) != n:
                         return self, (
                             f"[PIF1] root fed back with only "
-                            f"{len(members)}/{n} processors reached"
+                            f"{len(self.members)}/{n} processors reached"
                         )
-                    if len(acked) != n - 1:
+                    if len(self.acked) != n - 1:
                         return self, (
                             f"[PIF2] root fed back with only "
-                            f"{len(acked)}/{n - 1} acknowledgments"
+                            f"{len(self.acked)}/{n - 1} acknowledgments"
                         )
                     feedback_done = True
                 elif name == "C-action":
@@ -345,13 +351,13 @@ class WaveTag:
                         )
                     else:
                         parent = joins[node]
-                    if parent in members:
+                    if parent in self.members:
                         members.add(node)
                 elif name == "F-action":
-                    if node in members:
+                    if node in self.members:
                         acked.add(node)
                 elif name in ("B-correction", "F-correction"):
-                    if node in members:
+                    if node in self.members:
                         return self, (
                             f"wave member {node} demoted by {name}"
                         )
@@ -381,7 +387,8 @@ class Counterexample:
 class ModelCheckStats:
     """Instrumentation of one exhaustive check (attached to the result).
 
-    ``memo_*`` counters cover the transition memo, ``view_*`` the
+    ``memo_*`` counters cover the transition memo (all zero for a check
+    that runs without one, such as snap safety), ``view_*`` the
     local-view guard/statement/join memo; ``intern_hits`` counts
     configuration-intern lookups resolved to an existing object.
     """
@@ -515,6 +522,10 @@ class ModelCheckMemo:
     DESIGN.md §7.  ``validate=True`` re-derives every memoized answer
     through the direct path and raises
     :class:`~repro.errors.VerificationError` on any divergence.
+
+    ``capacity=None`` computes transitions without storing them, for
+    sweeps that never repeat a ``(configuration, selection)`` pair (snap
+    safety, normal closure).
     """
 
     def __init__(
@@ -522,7 +533,7 @@ class ModelCheckMemo:
         protocol: SnapPif,
         network: Network,
         *,
-        capacity: int = DEFAULT_MEMO_CAPACITY,
+        capacity: int | None = DEFAULT_MEMO_CAPACITY,
         view_capacity: int = DEFAULT_VIEW_CAPACITY,
         validate: bool = False,
     ) -> None:
@@ -531,7 +542,7 @@ class ModelCheckMemo:
         self.validate = validate
         self.interner = InternTable()
         #: ``(configuration, selection signature) -> (successor, dirty, joins)``
-        self.transitions = _LruCache(capacity)
+        self.transitions = None if capacity is None else _LruCache(capacity)
         self._nodes = tuple(network.nodes)
         self._neighbors = {p: network.neighbors(p) for p in self._nodes}
         self._root = protocol.root
@@ -690,10 +701,12 @@ class ModelCheckMemo:
         schedule step.  The join parents (the only configuration-
         dependent input of :meth:`WaveTag.advance`) are stored for every
         non-root B-action so a hit needs no guard, statement or macro
-        evaluation at all.
+        evaluation at all.  Without a transition memo every call computes
+        the entry.
         """
+        transitions = self.transitions
         key = (configuration, signature)
-        entry = self.transitions.get(key)
+        entry = None if transitions is None else transitions.get(key)
         if entry is None:
             # Inlined single pass over the selection (the semantics of
             # Protocol.execute_selection with the memoized next_state
@@ -711,7 +724,8 @@ class ModelCheckMemo:
                     joins[p] = self.join_parent(configuration, p)
             after = self.interner.intern(configuration.replace(updates))
             entry = (after, updates, joins, tuple(joins.items()))
-            self.transitions.put(key, entry)
+            if transitions is not None:
+                transitions.put(key, entry)
         if self.validate:
             self._check_transition(configuration, selection, entry)
         return entry
@@ -750,23 +764,6 @@ class ModelCheckMemo:
         self._advance_cache[key] = cached
         self._note_view_entry()
         return cached
-
-    def successor(
-        self, configuration: Configuration, selection: dict[int, Action]
-    ) -> tuple[Configuration, set[int]]:
-        """Successor via the view memo, without a transition-memo entry.
-
-        Used by sweeps (e.g. the normal-closure checker) whose
-        ``(configuration, selection)`` pairs never recur, where storing
-        them would only churn the LRU.
-        """
-        after, dirty = self.protocol.execute_selection(
-            configuration,
-            self.network,
-            selection,
-            next_state=lambda p, a: self.next_state(configuration, p, a),
-        )
-        return self.interner.intern(after), dirty
 
     # -- validation + stats ---------------------------------------------
     def _check_enabled(
@@ -807,11 +804,13 @@ class ModelCheckMemo:
 
     def fill_stats(self, stats: ModelCheckStats) -> None:
         """Copy the engine's counters onto a stats block."""
-        stats.memo_hits = self.transitions.hits.value
-        stats.memo_misses = self.transitions.misses.value
-        stats.memo_evictions = self.transitions.evictions.value
-        stats.memo_entries = len(self.transitions)
-        stats.memo_capacity = self.transitions.capacity
+        transitions = self.transitions
+        if transitions is not None:
+            stats.memo_hits = transitions.hits.value
+            stats.memo_misses = transitions.misses.value
+            stats.memo_evictions = transitions.evictions.value
+            stats.memo_entries = len(transitions)
+            stats.memo_capacity = transitions.capacity
         stats.view_hits = self.view_hits.value
         stats.view_misses = self.view_misses.value
         stats.view_evictions = self.view_evictions.value
@@ -1024,7 +1023,6 @@ def check_snap_safety(
     max_states: int = 5_000_000,
     stop_at_first: bool = True,
     memo: bool | None = None,
-    memo_capacity: int = DEFAULT_MEMO_CAPACITY,
     validate_memo: bool | None = None,
     replay_counterexamples: bool = True,
 ) -> ModelCheckResult:
@@ -1034,12 +1032,13 @@ def check_snap_safety(
     every execution of the initiated wave under all daemon choices.
     States are memoized globally across initial configurations — the
     tagged state ``(configuration, wave tag)`` fully determines the
-    future, so each is explored once — and, with the memo engine on
-    (the default), so are transitions: a ``(configuration, selection)``
-    pair reached from any entry path reuses the cached successor, dirty
-    set, join parents and successor enabled map (see
-    :class:`ModelCheckMemo`).  The memoized and direct paths visit
-    identical states and transitions and return identical results.
+    future, so each is explored once, and so each transition is
+    computed once.  The memo engine (on by default, see
+    :class:`ModelCheckMemo`) therefore stores no transitions: it caches
+    guards, statements and join parents per local view, interns
+    configurations and canonicalizes wave tags.  The memoized and
+    direct paths visit identical states and transitions and return
+    identical results.
 
     ``memo`` defaults to the ``REPRO_MODELCHECK_MEMO`` environment
     variable (``0`` disables); ``validate_memo`` to
@@ -1064,17 +1063,12 @@ def check_snap_safety(
     if validate_memo is None:
         validate_memo = _validate_default()
     engine = (
-        ModelCheckMemo(
-            protocol, network, capacity=memo_capacity, validate=validate_memo
-        )
+        ModelCheckMemo(protocol, network, capacity=None, validate=validate_memo)
         if memo
         else None
     )
     result = ModelCheckResult(property_name="snap-safety (PIF1 ∧ PIF2)")
-    stats = ModelCheckStats(
-        memo_enabled=engine is not None,
-        memo_capacity=memo_capacity if engine is not None else 0,
-    )
+    stats = ModelCheckStats(memo_enabled=engine is not None)
     result.stats = stats
 
     visited: set[tuple[Configuration, WaveTag]] = set()
@@ -1174,7 +1168,7 @@ def check_snap_safety(
                     if start_state in visited:
                         # The entire subtree behind this initiation step
                         # was already explored from another entry path —
-                        # the cross-initiation dedup the memo is for.
+                        # the shared visited set's cross-initiation dedup.
                         continue
                     after_enabled = engine.successor_enabled_map(
                         enabled, after, dirty
@@ -1600,10 +1594,7 @@ def check_cycle_liveness_synchronous(
         else None
     )
     result = ModelCheckResult(property_name="cycle-liveness (synchronous)")
-    stats = ModelCheckStats(
-        memo_enabled=engine is not None,
-        memo_capacity=memo_capacity if engine is not None else 0,
-    )
+    stats = ModelCheckStats(memo_enabled=engine is not None)
     result.stats = stats
     budget = bounds.glt_bound(k.l_max) + bounds.cycle_bound(k.l_max) + 8
 

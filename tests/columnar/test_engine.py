@@ -181,6 +181,8 @@ class TestRunResultIdentity:
         assert full.final == col.final
         assert full.trace.schedule() == col.trace.schedule()
         assert results["incremental"].final == col.final
+        # The wave never terminates; the silent spanning tree still moves.
+        assert col.steps == 120 if kind == "snap-pif" else col.steps > 0
 
     def test_synchronous_daemon_identity(self) -> None:
         net = by_name("random-tree", 12)

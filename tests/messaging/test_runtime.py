@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from repro.chaos import RemoveLink
+from repro.core.monitor import PifCycleMonitor
 from repro.core.pif import SnapPif
 from repro.errors import MessagingError, ProtocolError, ScheduleError
 from repro.graphs import line, ring, star
@@ -39,12 +40,17 @@ class TestLocalView:
 
 class TestStepMachinery:
     def test_waves_complete_over_links(self) -> None:
-        sim = make_sim()
+        net = ring(5)
+        monitor = PifCycleMonitor(SnapPif.for_network(net), net)
+        sim = make_sim(net, monitors=[monitor])
         result = sim.run(max_steps=80)
         assert sim.counters["sent"] > 0
         assert sim.counters["delivered"] > 0
         assert result.steps > 0
         assert sim.action_counts.get("C-action", 0) > 0
+        # Reliable delivery: every monitored cycle meets [PIF1]/[PIF2].
+        assert len(monitor.completed_cycles) >= 3
+        assert monitor.all_cycles_ok()
 
     def test_fresh_links_start_consistent(self) -> None:
         sim = make_sim()

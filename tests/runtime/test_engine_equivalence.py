@@ -115,6 +115,9 @@ class TestRunResultIdentity:
             )
             results[engine] = sim.run(max_steps=120)
         full, inc = results["full"], results["incremental"]
+        # The wave protocols never terminate; the silent spanning tree
+        # still moves.
+        assert inc.steps == 120 if kind != "spanning-tree" else inc.steps > 0
         assert full.steps == inc.steps
         assert full.rounds == inc.rounds
         assert full.moves == inc.moves

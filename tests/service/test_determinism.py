@@ -175,6 +175,7 @@ class TestAcceptanceScale:
         assert [e["request_id"] for e in streamed] == list(range(COUNT))
         assert all(r["ok"] for r in outcome.results)
         assert outcome.waves_run < COUNT  # coalescing fired at scale
+        assert stats["rejected"] == 0
         again, streamed_again, _stats = run(jobs=4)
         assert again.results == outcome.results
         assert again.event_streams == outcome.event_streams

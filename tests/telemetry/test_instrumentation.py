@@ -11,7 +11,10 @@ from repro.core.pif import SnapPif
 from repro.graphs import line, ring
 from repro.parallel.executor import ParallelExecutor
 from repro.runtime.simulator import Simulator
-from repro.verification.model_check import check_snap_safety
+from repro.verification.model_check import (
+    check_cycle_liveness_synchronous,
+    check_snap_safety,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -97,7 +100,10 @@ class TestModelCheck:
         )
 
     def test_public_stats_fields_unchanged_when_disabled(self):
-        result = check_snap_safety(line(3), max_states=500)
+        # The synchronous sweep is the check with a transition memo.
+        result = check_cycle_liveness_synchronous(
+            line(3), max_configurations=25
+        )
         stats = result.stats
         # Telemetry-backed counters still fill the public int fields.
         assert isinstance(stats.memo_hits, int)

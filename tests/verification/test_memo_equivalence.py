@@ -10,6 +10,8 @@ is the one thing the memo is allowed to change.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.pif import SnapPif
@@ -63,6 +65,25 @@ class TestSnapSafetyEquivalence:
                 line(4), max_configurations=400, memo=memo
             )
         )
+
+    def test_line5_capped_in_bounded_memory(self) -> None:
+        """The memoized sweep (memo tables included) stays far below
+        256 MB of traced allocation, and its schedule-reconstruction
+        table never outgrows the states it explored."""
+
+        def run(memo: bool) -> ModelCheckResult:
+            return check_snap_safety(line(5), max_configurations=300, memo=memo)
+
+        tracemalloc.start()
+        try:
+            on = run(True)
+            _, peak_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _comparable(on) == _comparable(run(False))
+        assert on.ok
+        assert on.stats.peak_parent_entries <= on.states_explored + 1
+        assert peak_bytes < 256 * 1024 * 1024
 
     def test_max_states_capped(self) -> None:
         _assert_equivalent(

@@ -296,3 +296,29 @@ class TestWaveTagAgreesWithMonitor:
                     break
             assert finished
             assert report.ok
+
+
+class TestWaveTagStepOrder:
+    @pytest.mark.parametrize("root", [0, 2])
+    def test_root_feedback_reads_pre_step_acks(self, root: int) -> None:
+        """A leaf's F-action in the root's feedback step does not count
+        toward the root's [PIF2] check, whichever end of the line is
+        the root."""
+        from random import Random
+
+        from repro.verification.model_check import WaveTag
+
+        net = line(3)
+        protocol = SnapPif.for_network(net, root)
+        leaf = 2 - root
+        f_action = {
+            p: next(
+                a for a in protocol.node_actions(p, net) if a.name == "F-action"
+            )
+            for p in (leaf, root)
+        }
+        tag = WaveTag(frozenset({0, 1, 2}), frozenset({1}), False)
+        before = protocol.random_configuration(net, Random(0))
+        new_tag, violation = tag.advance(protocol, net, before, f_action)
+        assert new_tag is tag
+        assert violation == "[PIF2] root fed back with only 1/2 acknowledgments"
