@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.chaos.events import FaultEvent
 from repro.chaos.scenario import FaultScenario
@@ -333,8 +334,6 @@ def run_campaign(
     wall-clock seconds in pool mode (timed-out cells are retried once,
     then reported).
     """
-    from repro.parallel.executor import resolve_jobs
-
     if isinstance(networks, Mapping):
         grid = list(networks.values())
     else:
@@ -345,7 +344,7 @@ def run_campaign(
     # the executor's telemetry counters (parallel.tasks, …) accumulate
     # identically for jobs ∈ {1, 2, 4}; jobs=1 runs the tasks in-process
     # (no pool) and is bit-identical to the serial loop.
-    n_jobs = resolve_jobs(jobs)
+    n_jobs = settings.resolve("jobs", jobs)
     if n_jobs is not None:
         return _publish_campaign(
             _run_campaign_parallel(

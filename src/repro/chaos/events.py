@@ -649,7 +649,7 @@ class DelayLink(FaultEvent):
     def apply(
         self, sim: "Simulator"
     ) -> tuple["FaultEvent | None", tuple["FaultEvent", ...]]:
-        from repro.messaging.env import check_positive_int
+        from repro.messaging.channel import check_positive_int
 
         check_positive_int(self.delay, name="link delay", source="DelayLink")
         check_positive_int(

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.chaos.campaign import ChaosRun
 from repro.chaos.events import event_from_dict
@@ -516,8 +517,6 @@ def shrink_sweep(
     same order — so the reproducers *and* the aggregated deterministic
     metrics are bit-identical across job counts.
     """
-    from repro.parallel.executor import resolve_jobs
-
     grid = []
     for network in networks:
         for daemon in daemons:
@@ -525,7 +524,7 @@ def shrink_sweep(
                 for scenario in scenarios:
                     grid.append((network, daemon, seed, scenario))
 
-    n_jobs = resolve_jobs(jobs)
+    n_jobs = settings.resolve("jobs", jobs)
     if n_jobs is not None:
         from repro.parallel.executor import ParallelExecutor, raise_failures
         from repro.parallel.workers import shrink_cell

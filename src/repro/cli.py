@@ -30,6 +30,9 @@ Commands
     (written by ``--telemetry PATH``).
 ``topologies``
     List the available topology families.
+``config``
+    Print every ``REPRO_*`` knob with its effective value and source
+    (see :mod:`repro.settings`); exits non-zero if one holds a bad value.
 
 ``verify`` and ``chaos`` accept ``--jobs N`` to fan their sweeps across
 a process pool; results are identical to the serial run (see
@@ -47,12 +50,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
+from repro import settings
 from repro.analysis import bound_sheet, measure_cycles, measure_stabilization
 from repro.analysis.faults import FAULT_MODES
 from repro.core.monitor import PifCycleMonitor
 from repro.core.pif import SnapPif
+from repro.errors import ReproError
 from repro.graphs import TOPOLOGY_FAMILIES, by_name, compute_metrics
 from repro.reporting import render_table
 from repro.reporting.render import PhaseTimeline, render_configuration
@@ -70,13 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs_arg(p: argparse.ArgumentParser) -> None:
+    def add_knob(p: argparse.ArgumentParser, flag: str, name: str) -> None:
+        """A flag overriding one settings row; ``None`` defers to the row."""
+        row = settings.row(name)
         p.add_argument(
-            "--jobs",
-            type=int,
+            flag,
+            type=int if row.type == "int" else None,
             default=None,
-            help="process-pool workers (default: REPRO_JOBS env, else "
-            "serial); results are identical to the serial run",
+            choices=list(row.choices) or None,
+            help=row.help,
         )
 
     def add_telemetry_arg(p: argparse.ArgumentParser) -> None:
@@ -86,16 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="enable telemetry and append spans plus a final metrics "
             "snapshot to PATH as JSONL (render with 'repro stats PATH')",
-        )
-
-    def add_engine_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine",
-            default=None,
-            choices=["incremental", "full", "columnar"],
-            help="guard-evaluation engine for every simulator the command "
-            "builds (default: REPRO_ENGINE env, else incremental); "
-            "'columnar' runs the compiled flat-array kernel",
         )
 
     def add_topology_args(p: argparse.ArgumentParser) -> None:
@@ -110,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run PIF cycles and show the phases")
     add_topology_args(demo)
-    add_engine_arg(demo)
+    add_knob(demo, "--engine", "engine")
     demo.add_argument("--cycles", type=int, default=1)
     demo.add_argument(
         "--async-daemon",
@@ -122,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stabilize", help="recover from an adversarial configuration"
     )
     add_topology_args(stab)
-    add_engine_arg(stab)
+    add_knob(stab, "--engine", "engine")
     stab.add_argument("--mode", default="uniform", choices=FAULT_MODES)
 
     verify = sub.add_parser("verify", help="exhaustive model checks (small N)")
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cap on checked configurations (line-4 defaults to 2000)",
     )
-    add_jobs_arg(verify)
+    add_knob(verify, "--jobs", "jobs")
     add_telemetry_arg(verify)
 
     bounds_cmd = sub.add_parser("bounds", help="bound sheet + measured cycle")
@@ -147,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded chaos campaign against the PIF specification"
     )
     add_topology_args(chaos)
-    add_engine_arg(chaos)
+    add_knob(chaos, "--engine", "engine")
     chaos.add_argument(
         "--budget",
         type=int,
@@ -174,27 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         "message-passing runtime with per-link channels; 'message' sweeps "
         "the link-fault scenario shapes (loss/duplication/reordering/delay)",
     )
-    chaos.add_argument(
-        "--capacity",
-        type=int,
-        default=None,
-        help="per-link channel capacity (message transport; default: "
-        "REPRO_CHANNEL_CAPACITY env, else 8)",
-    )
-    chaos.add_argument(
-        "--message-model",
-        default=None,
-        choices=["eager", "async"],
-        help="delivery model (message transport; default: "
-        "REPRO_MESSAGE_MODEL env, else eager)",
-    )
-    chaos.add_argument(
-        "--heartbeat",
-        type=int,
-        default=None,
-        help="retransmit unchanged registers on stale links every H steps "
-        "(message transport; default: REPRO_MESSAGE_HEARTBEAT env, else 4)",
-    )
+    add_knob(chaos, "--capacity", "channel_capacity")
+    add_knob(chaos, "--message-model", "message_model")
+    add_knob(chaos, "--heartbeat", "heartbeat")
     chaos.add_argument(
         "--loss-rate",
         type=float,
@@ -202,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ambient per-publication loss probability in [0, 1) "
         "(message transport; default: 0.0)",
     )
-    add_jobs_arg(chaos)
+    add_knob(chaos, "--jobs", "jobs")
     add_telemetry_arg(chaos)
 
     bench = sub.add_parser(
@@ -220,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="list_modules",
         help="list the available benchmark modules and exit",
     )
-    add_engine_arg(bench)
-    add_jobs_arg(bench)
+    add_knob(bench, "--engine", "engine")
+    add_knob(bench, "--jobs", "jobs")
     add_telemetry_arg(bench)
 
     serve = sub.add_parser(
@@ -229,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the asyncio wave service and serve a client workload",
     )
     add_topology_args(serve)
-    add_engine_arg(serve)
-    add_jobs_arg(serve)
+    add_knob(serve, "--engine", "engine")
+    add_knob(serve, "--jobs", "jobs")
     add_telemetry_arg(serve)
     serve.add_argument(
         "--requests",
@@ -244,27 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="concurrent asyncio clients sharing the workload (default: 4)",
     )
-    serve.add_argument(
-        "--batch-window",
-        type=int,
-        default=None,
-        help="coalescing batch window (default: REPRO_SERVICE_BATCH_WINDOW "
-        "env, else 32)",
-    )
-    serve.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=None,
-        help="concurrent wave executions (default: "
-        "REPRO_SERVICE_MAX_IN_FLIGHT env, else 4)",
-    )
-    serve.add_argument(
-        "--queue-bound",
-        type=int,
-        default=None,
-        help="pending-queue bound per topology (default: "
-        "REPRO_SERVICE_QUEUE_BOUND env, else 1024)",
-    )
+    add_knob(serve, "--batch-window", "batch_window")
+    add_knob(serve, "--max-in-flight", "max_in_flight")
+    add_knob(serve, "--queue-bound", "queue_bound")
     serve.add_argument(
         "--show-events",
         type=int,
@@ -289,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("topologies", help="list topology families")
+    sub.add_parser(
+        "config", help="print every REPRO_* knob's effective value"
+    )
     return parser
 
 
@@ -723,6 +688,29 @@ def _cmd_topologies(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_config(_args: argparse.Namespace) -> int:
+    rows, errors = [], []
+    for row in settings.SETTINGS:
+        try:
+            value, source = row.lookup()
+        except ReproError as exc:
+            value, source = "<invalid>", "env"
+            errors.append(str(exc))
+        rows.append(
+            {
+                "variable": row.env,
+                "value": value,
+                "source": source,
+                "default": row.shown_default,
+                "doc": row.doc,
+            }
+        )
+    print(render_table(rows, title="effective REPRO_* settings"))
+    for error in errors:
+        print(f"bad setting: {error}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 _COMMANDS = {
     "demo": _cmd_demo,
     "stabilize": _cmd_stabilize,
@@ -733,20 +721,21 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "stats": _cmd_stats,
     "topologies": _cmd_topologies,
+    "config": _cmd_config,
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        # Every Simulator the command builds — directly or through
-        # analysis/chaos layers and the bench subprocess — resolves its
-        # default engine from REPRO_ENGINE.
-        import os
-
-        os.environ["REPRO_ENGINE"] = args.engine
-    return _COMMANDS[args.command](args)
+    engine = getattr(args, "engine", None)
+    # Every Simulator the command builds — directly, through the
+    # analysis/chaos layers, in pool workers or in the bench subprocess —
+    # resolves its default engine from REPRO_ENGINE, so the flag sets it
+    # for the command's duration only.
+    scope = settings.override("engine", engine) if engine else nullcontext()
+    with scope:
+        return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ lockstep mode.
 
 from __future__ import annotations
 
-import os
 from array import array
 
+from repro import settings
 from repro.errors import ReproError
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: Recognized values of ``REPRO_COLUMNAR_BACKEND``.
-BACKENDS = ("auto", "numpy", "pure")
+BACKENDS = settings.row("backend").choices
 
 _numpy = None
 _numpy_checked = False
@@ -62,14 +62,10 @@ def resolve_backend(backend: str | None = None) -> str:
     """Resolve a backend request to ``"numpy"`` or ``"pure"``.
 
     ``None`` falls back to the ``REPRO_COLUMNAR_BACKEND`` environment
-    variable (empty means unset), then to ``"auto"``.
+    variable, then to ``"auto"`` (the ``backend`` row of
+    :mod:`repro.settings`).
     """
-    if backend is None:
-        backend = os.environ.get("REPRO_COLUMNAR_BACKEND") or "auto"
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown columnar backend {backend!r}; expected one of {BACKENDS}"
-        )
+    backend = settings.resolve("backend", backend)
     if backend == "auto":
         return "numpy" if numpy_available() else "pure"
     if backend == "numpy" and not numpy_available():

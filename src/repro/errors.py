@@ -128,6 +128,14 @@ class WaveRequestError(ServiceError):
     """
 
 
+class ParallelError(ReproError):
+    """A parallel task failed permanently (after its retry).
+
+    Also raised for bad worker-count knobs (``REPRO_JOBS`` and the
+    ``REPRO_SERVICE_*`` bounds).
+    """
+
+
 class MessagingError(ReproError):
     """A message-passing runtime knob or channel operation is invalid.
 

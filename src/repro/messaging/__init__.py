@@ -7,24 +7,16 @@ heartbeat retransmission, and a deterministic seeded delivery
 scheduler.  See :mod:`repro.messaging.runtime` for the model and
 DESIGN.md §13 for the soundness argument; the link-fault family
 (``DropMessage``, ``DuplicateMessage``, ``ReorderWindow``,
-``DelayLink``) lives in :mod:`repro.chaos`.
+``DelayLink``) lives in :mod:`repro.chaos`.  The transport knobs
+(``REPRO_MESSAGE_MODEL``, ``REPRO_CHANNEL_CAPACITY``,
+``REPRO_MESSAGE_HEARTBEAT``) are rows of :mod:`repro.settings`.
 """
 
-from repro.messaging.channel import Channel, Message
+from repro.messaging.channel import Channel, Message, check_loss_rate
 from repro.messaging.conformance import (
     ConformanceMismatch,
     ConformanceResult,
     check_message_conformance,
-)
-from repro.messaging.env import (
-    DEFAULT_CHANNEL_CAPACITY,
-    DEFAULT_HEARTBEAT,
-    DEFAULT_MESSAGE_MODEL,
-    MESSAGE_MODELS,
-    check_loss_rate,
-    resolve_channel_capacity,
-    resolve_heartbeat,
-    resolve_message_model,
 )
 from repro.messaging.runtime import LocalView, MessageSimulator
 
@@ -36,12 +28,5 @@ __all__ = [
     "ConformanceMismatch",
     "ConformanceResult",
     "check_message_conformance",
-    "MESSAGE_MODELS",
-    "DEFAULT_MESSAGE_MODEL",
-    "DEFAULT_CHANNEL_CAPACITY",
-    "DEFAULT_HEARTBEAT",
-    "resolve_message_model",
-    "resolve_channel_capacity",
-    "resolve_heartbeat",
     "check_loss_rate",
 ]

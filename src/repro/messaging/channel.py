@@ -26,9 +26,39 @@ from random import Random
 from typing import Iterator
 
 from repro.errors import MessagingError
-from repro.messaging.env import check_positive_int
 
-__all__ = ["Message", "Channel"]
+__all__ = ["Message", "Channel", "check_positive_int", "check_loss_rate"]
+
+
+def check_positive_int(value: object, *, name: str, source: str) -> int:
+    """Validate ``value`` as a strictly positive integer.
+
+    ``bool`` is rejected explicitly: ``True`` is an ``int`` subclass
+    and would otherwise pass as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MessagingError(
+            f"{name} must be a positive integer, got {value!r} ({source})"
+        )
+    if value < 1:
+        raise MessagingError(f"{name} must be >= 1, got {value} ({source})")
+    return value
+
+
+def check_loss_rate(rate: float) -> float:
+    """Validate a publish loss probability (``0.0 <= rate < 1.0``).
+
+    1.0 is excluded: a link that drops everything forever can never
+    reach the eventual-delivery assumption the transform relies on.
+    """
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise MessagingError(
+            f"loss rate must be a float in [0.0, 1.0), got {rate!r}"
+        )
+    rate = float(rate)
+    if not 0.0 <= rate < 1.0:
+        raise MessagingError(f"loss rate must be in [0.0, 1.0), got {rate}")
+    return rate
 
 
 @dataclass(frozen=True, slots=True)

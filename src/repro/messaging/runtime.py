@@ -42,25 +42,15 @@ from __future__ import annotations
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.errors import MessagingError, ProtocolError, ScheduleError
-from repro.messaging.channel import Channel
-from repro.messaging.env import (
-    check_loss_rate,
-    resolve_channel_capacity,
-    resolve_heartbeat,
-    resolve_message_model,
-)
+from repro.messaging.channel import Channel, check_loss_rate
 from repro.runtime.daemons import Daemon, SynchronousDaemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Context, Protocol
 from repro.runtime.rounds import RoundCounter
-from repro.runtime.simulator import (
-    DEFAULT_MAX_STEPS,
-    Monitor,
-    RunResult,
-    resolve_engine,
-)
+from repro.runtime.simulator import DEFAULT_MAX_STEPS, Monitor, RunResult
 from repro.runtime.state import Configuration, NodeState
 from repro.runtime.trace import StepRecord, Trace
 
@@ -147,17 +137,19 @@ class MessageSimulator:
         heartbeat: int | None = None,
         loss_rate: float = 0.0,
     ) -> None:
-        engine, validate_engine = resolve_engine(engine, validate_engine)
+        engine = settings.resolve("engine", engine)
         self.engine = "incremental" if engine == "columnar" else engine
-        self.validate_engine = validate_engine
+        self.validate_engine = settings.resolve(
+            "validate_engine", validate_engine
+        )
         self.protocol = protocol
         self.network = network
         self.daemon = daemon if daemon is not None else SynchronousDaemon()
         self.seed = seed
         self.rng = Random(seed)
-        self.capacity = resolve_channel_capacity(capacity)
-        self.model = resolve_message_model(model)
-        self.heartbeat = resolve_heartbeat(heartbeat)
+        self.capacity = settings.resolve("channel_capacity", capacity)
+        self.model = settings.resolve("message_model", model)
+        self.heartbeat = settings.resolve("heartbeat", heartbeat)
         self.loss_rate = check_loss_rate(loss_rate)
 
         config = (

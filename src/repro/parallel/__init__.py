@@ -16,11 +16,11 @@ sharding it lost more than the pool gained.)
 * :mod:`~repro.parallel.workers` — the top-level (hence picklable)
   worker functions for the wired layers, each owning its *worker-local*
   warm state (protocol instances, memo engines); nothing mutable ever
-  crosses the pickle boundary;
-* :func:`~repro.parallel.executor.resolve_jobs` — the single knob
-  resolution used everywhere: explicit ``jobs=`` argument, else the
-  ``REPRO_JOBS`` environment variable, else ``None`` (the classic
-  serial code path).
+  crosses the pickle boundary.
+
+The worker count is the ``jobs`` row of :mod:`repro.settings`: explicit
+``jobs=`` argument, else the ``REPRO_JOBS`` environment variable, else
+``None`` (the classic serial code path).
 
 The non-negotiable contract (tested by ``tests/parallel/``): for every
 wired entry point, parallel and serial execution produce the same
@@ -32,12 +32,10 @@ from repro.parallel.executor import (
     ParallelExecutor,
     TaskFailure,
     chunk_ranges,
-    resolve_jobs,
 )
 
 __all__ = [
     "ParallelExecutor",
     "TaskFailure",
     "chunk_ranges",
-    "resolve_jobs",
 ]

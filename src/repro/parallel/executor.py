@@ -24,16 +24,15 @@ Design constraints (why this looks the way it does):
   pickling), so ``jobs=1`` output is bit-identical to ``jobs=N`` and
   the pool is a pure throughput knob.
 
-``resolve_jobs`` is the single knob resolution: an explicit ``jobs=``
-argument wins, else the ``REPRO_JOBS`` environment variable, else
-``None`` — which every wired entry point treats as "use the classic
-serial code path".
+The worker count resolves through the settings table
+(:mod:`repro.settings`): an explicit ``jobs=`` argument wins, else the
+``REPRO_JOBS`` environment variable, else ``None`` — which every wired
+entry point treats as "use the classic serial code path".
 """
 
 from __future__ import annotations
 
 import math
-import os
 import signal
 import time
 import traceback
@@ -42,73 +41,16 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
-from repro.errors import ReproError
+from repro.errors import ParallelError
 
 __all__ = [
     "ParallelError",
     "TaskFailure",
     "ParallelExecutor",
-    "resolve_jobs",
-    "resolve_worker_count",
     "chunk_ranges",
 ]
-
-
-class ParallelError(ReproError):
-    """A parallel task failed permanently (after its retry)."""
-
-
-def resolve_worker_count(
-    value: int | None, *, env_var: str, name: str
-) -> int | None:
-    """Shared precedence + validation for worker-count knobs.
-
-    The one resolution discipline every parallel knob follows: an
-    explicit argument wins; otherwise the environment variable;
-    otherwise ``None`` (the caller's documented default applies).  The
-    value must be a positive integer — zero, negatives, non-integers
-    (including bools) and garbage environment strings all raise
-    :class:`ParallelError` naming the offending value and where it came
-    from.  ``resolve_jobs`` and the wave service's knobs delegate
-    here, so their error surfaces cannot drift apart.
-    """
-    if value is None:
-        raw = os.environ.get(env_var, "").strip()
-        if not raw:
-            return None
-        try:
-            parsed = int(raw)
-        except ValueError:
-            raise ParallelError(
-                f"{env_var} must be a positive integer, got {raw!r}"
-            ) from None
-        if parsed < 1:
-            raise ParallelError(
-                f"{env_var} must be a positive integer, got {raw!r}"
-            )
-        return parsed
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParallelError(
-            f"{name} must be a positive integer, got {value!r} "
-            f"({type(value).__name__})"
-        )
-    if value < 1:
-        raise ParallelError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def resolve_jobs(jobs: int | None = None) -> int | None:
-    """Resolve the worker-count knob.
-
-    An explicit ``jobs`` wins; otherwise the ``REPRO_JOBS`` environment
-    variable; otherwise ``None`` (callers interpret ``None`` as "run
-    the classic serial path").  ``jobs`` must be a positive integer —
-    zero, negatives, non-integers (including bools) and garbage
-    environment values all raise :class:`ParallelError` naming the
-    offending value and where it came from.
-    """
-    return resolve_worker_count(jobs, env_var="REPRO_JOBS", name="jobs")
 
 
 def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -242,8 +184,8 @@ class ParallelExecutor:
         importable from the worker process (see
         :mod:`repro.parallel.workers` for the wired ones).
     jobs:
-        Worker-count knob, resolved via :func:`resolve_jobs`; ``None``
-        here resolves the ``REPRO_JOBS`` environment variable and
+        Worker-count knob (the ``jobs`` row of :mod:`repro.settings`);
+        ``None`` here resolves the ``REPRO_JOBS`` environment variable and
         defaults to ``1`` (in-process serial execution).
     timeout:
         Optional per-task wall-clock timeout in seconds, enforced
@@ -265,7 +207,7 @@ class ParallelExecutor:
         retries: int = 1,
     ) -> None:
         self.worker = worker
-        self.jobs = resolve_jobs(jobs) or 1
+        self.jobs = settings.resolve("jobs", jobs) or 1
         self.timeout = timeout
         if retries < 0:
             raise ParallelError(f"retries must be >= 0, got {retries}")

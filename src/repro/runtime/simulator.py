@@ -15,11 +15,11 @@ checker — after every step.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Mapping, Protocol as TypingProtocol, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.errors import ScheduleError, SimulationLimitError, VerificationError
 from repro.runtime.daemons import Daemon, SynchronousDaemon
@@ -29,33 +29,10 @@ from repro.runtime.rounds import RoundCounter
 from repro.runtime.state import Configuration, NodeState
 from repro.runtime.trace import StepRecord, Trace
 
-__all__ = ["Monitor", "RunResult", "Simulator", "resolve_engine"]
+__all__ = ["Monitor", "RunResult", "Simulator"]
 
 #: Default safety valve for :meth:`Simulator.run`.
 DEFAULT_MAX_STEPS = 1_000_000
-
-
-def resolve_engine(
-    engine: str | None = None, validate_engine: bool | None = None
-) -> tuple[str, bool]:
-    """Resolve the engine knobs (``REPRO_ENGINE`` / ``REPRO_ENGINE_VALIDATE``).
-
-    Explicit arguments win over the environment; an empty environment
-    value means "unset".  Returns ``(engine, validate_engine)`` and
-    raises :class:`~repro.errors.ScheduleError` on an unknown engine.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "incremental"
-    if engine not in ("incremental", "full", "columnar"):
-        raise ScheduleError(
-            f"unknown engine {engine!r}; expected 'incremental', "
-            f"'full' or 'columnar'"
-        )
-    if validate_engine is None:
-        validate_engine = os.environ.get(
-            "REPRO_ENGINE_VALIDATE", ""
-        ) not in ("", "0")
-    return engine, validate_engine
 
 
 class Monitor(TypingProtocol):
@@ -141,8 +118,8 @@ class Simulator:
         for the columnar engine both the enabled map and the successor
         configuration are compared — and a mismatch raises
         :class:`~repro.errors.VerificationError`.  Defaults to the
-        ``REPRO_ENGINE_VALIDATE`` environment variable (any value other
-        than empty/``0`` enables it).
+        ``REPRO_ENGINE_VALIDATE`` environment variable (a boolean, see
+        :mod:`repro.settings`).
     """
 
     def __init__(
@@ -158,9 +135,11 @@ class Simulator:
         engine: str | None = None,
         validate_engine: bool | None = None,
     ) -> None:
-        engine, validate_engine = resolve_engine(engine, validate_engine)
+        engine = settings.resolve("engine", engine)
         self.engine = engine
-        self.validate_engine = validate_engine
+        self.validate_engine = settings.resolve(
+            "validate_engine", validate_engine
+        )
         self.protocol = protocol
         self.network = network
         self.daemon = daemon if daemon is not None else SynchronousDaemon()

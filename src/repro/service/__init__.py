@@ -7,20 +7,10 @@ schedulers coalesce adjacent identical requests into shared PIF waves
 correct — DESIGN.md §15); an event bus streams lifecycle events
 through predicate-filtered subscriptions; wave execution runs in
 worker threads so the event loop never blocks.  Deterministic under a
-fixed seed and submission order.  See docs/API.md «Wave service».
+fixed seed and submission order.  See docs/API.md «Wave service»; the
+service knobs are rows of :mod:`repro.settings`.
 """
 
-from repro.service.env import (
-    BATCH_WINDOW_ENV,
-    DEFAULT_BATCH_WINDOW,
-    DEFAULT_MAX_IN_FLIGHT,
-    DEFAULT_QUEUE_BOUND,
-    MAX_IN_FLIGHT_ENV,
-    QUEUE_BOUND_ENV,
-    resolve_batch_window,
-    resolve_max_in_flight,
-    resolve_queue_bound,
-)
 from repro.service.events import (
     EVENT_PHASES,
     EventBus,
@@ -40,14 +30,8 @@ from repro.service.service import WaveService
 from repro.service.workload import WorkloadOutcome, make_workload, run_workload
 
 __all__ = [
-    "BATCH_WINDOW_ENV",
-    "DEFAULT_BATCH_WINDOW",
-    "DEFAULT_MAX_IN_FLIGHT",
-    "DEFAULT_QUEUE_BOUND",
     "EVENT_PHASES",
     "EventBus",
-    "MAX_IN_FLIGHT_ENV",
-    "QUEUE_BOUND_ENV",
     "RequestHandle",
     "Subscription",
     "TopologyScheduler",
@@ -64,8 +48,5 @@ __all__ = [
     "for_topology",
     "make_workload",
     "not_",
-    "resolve_batch_window",
-    "resolve_max_in_flight",
-    "resolve_queue_bound",
     "run_workload",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Callable, Iterable
+from typing import AsyncIterator, Callable
 
 __all__ = [
     "EVENT_PHASES",
@@ -212,10 +212,6 @@ class EventBus:
         self.published += 1
         for sub in self._subscriptions:
             sub.deliver(event)
-
-    def publish_all(self, events: Iterable[WaveEvent]) -> None:
-        for event in events:
-            self.publish(event)
 
     def close(self) -> None:
         """End every stream (service shutdown)."""

@@ -32,6 +32,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.applications.waves import WaveEngine, validate_wave_args
 from repro.errors import (
@@ -39,13 +40,7 @@ from repro.errors import (
     ServiceOverloadedError,
     WaveRequestError,
 )
-from repro.parallel.executor import resolve_jobs
 from repro.runtime.network import Network
-from repro.service.env import (
-    resolve_batch_window,
-    resolve_max_in_flight,
-    resolve_queue_bound,
-)
 from repro.service.events import EventBus, Predicate, Subscription, WaveEvent
 from repro.service.requests import RequestHandle, WaveRequest
 from repro.service.scheduler import TopologyScheduler
@@ -67,11 +62,10 @@ class WaveService:
     batch_window, max_in_flight, queue_bound:
         Service knobs; ``None`` resolves the corresponding
         ``REPRO_SERVICE_*`` environment variable, then the documented
-        default (:mod:`repro.service.env`).
+        default (rows of :mod:`repro.settings`).
     jobs:
         Worker-thread count for wave execution; ``None`` resolves
-        ``REPRO_JOBS`` (the shared :func:`~repro.parallel.executor.resolve_jobs`
-        discipline), then ``max_in_flight``.  Within one topology waves
+        ``REPRO_JOBS``, then ``max_in_flight``.  Within one topology waves
         are sequential, so workers only add cross-topology parallelism.
     """
 
@@ -87,10 +81,10 @@ class WaveService:
     ) -> None:
         self.seed = seed
         self.engine = engine
-        self.batch_window = resolve_batch_window(batch_window)
-        self.max_in_flight = resolve_max_in_flight(max_in_flight)
-        self.queue_bound = resolve_queue_bound(queue_bound)
-        self.jobs = resolve_jobs(jobs) or self.max_in_flight
+        self.batch_window = settings.resolve("batch_window", batch_window)
+        self.max_in_flight = settings.resolve("max_in_flight", max_in_flight)
+        self.queue_bound = settings.resolve("queue_bound", queue_bound)
+        self.jobs = settings.resolve("jobs", jobs) or self.max_in_flight
         self.bus = EventBus()
         self._schedulers: dict[str, TopologyScheduler] = {}
         self._executor: ThreadPoolExecutor | None = None

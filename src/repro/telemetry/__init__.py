@@ -36,10 +36,10 @@ subprocess.
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 
+from repro import settings
 from repro.telemetry.registry import (
     NONDET_PREFIX,
     SIZE_BOUNDS,
@@ -122,11 +122,11 @@ def disable() -> None:
 def enable_from_env() -> bool:
     """Enable telemetry if ``REPRO_TELEMETRY`` names a trace path.
 
-    Returns True when telemetry was enabled.  An empty value is
-    treated as unset.
+    Returns True when telemetry was enabled.  A blank value is treated
+    as unset (the ``telemetry`` row of :mod:`repro.settings`).
     """
-    path = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if not path:
+    path = settings.resolve("telemetry")
+    if path is None:
         return False
     enable(path)
     return True

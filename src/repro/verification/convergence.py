@@ -25,6 +25,7 @@ import itertools
 import time
 from typing import Iterator
 
+from repro import settings
 from repro.analysis import bounds
 from repro.core import definitions as defs
 from repro.core.pif import SnapPif
@@ -39,10 +40,7 @@ from repro.verification.model_check import (
     ModelCheckMemo,
     ModelCheckResult,
     ModelCheckStats,
-    _memo_enabled_default,
-    _resolve_parallel_jobs,
     _selections,
-    _validate_default,
     apply_selection,
     merge_model_check_results,
     node_state_domain,
@@ -121,7 +119,7 @@ def check_convergence_synchronous(
     exactly the serial stride-hit set.
     """
     if config_slice is None:
-        n_jobs = _resolve_parallel_jobs(jobs)
+        n_jobs = settings.resolve("jobs", jobs)
         if n_jobs is not None:
             return _check_convergence_parallel(
                 network,
@@ -140,10 +138,8 @@ def check_convergence_synchronous(
         factory = protocol_factory or SnapPif.for_network
         protocol = factory(network, root)
     k = protocol.constants
-    if memo is None:
-        memo = _memo_enabled_default()
-    if validate_memo is None:
-        validate_memo = _validate_default()
+    memo = settings.resolve("memo", memo)
+    validate_memo = settings.resolve("validate_memo", validate_memo)
     engine = (
         ModelCheckMemo(protocol, network, validate=validate_memo)
         if memo
@@ -410,10 +406,8 @@ def check_normal_closure(
     if protocol is None:
         protocol = SnapPif.for_network(network, root)
     k = protocol.constants
-    if memo is None:
-        memo = _memo_enabled_default()
-    if validate_memo is None:
-        validate_memo = _validate_default()
+    memo = settings.resolve("memo", memo)
+    validate_memo = settings.resolve("validate_memo", validate_memo)
     engine = (
         ModelCheckMemo(protocol, network, capacity=None, validate=validate_memo)
         if memo

@@ -68,12 +68,12 @@ budget is exhausted, and report exactly what was covered
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
+from repro import settings
 from repro import telemetry as _telemetry
 from repro.analysis import bounds
 from repro.core.monitor import PifCycleMonitor
@@ -125,22 +125,6 @@ DEFAULT_VIEW_CAPACITY = 1_048_576
 #: bit-identical shard results and therefore bit-identical merged
 #: results (see DESIGN.md §9).
 DEFAULT_SHARDS = 8
-
-
-def _memo_enabled_default() -> bool:
-    """``REPRO_MODELCHECK_MEMO=0`` is the escape hatch; anything else is on."""
-    return os.environ.get("REPRO_MODELCHECK_MEMO", "") != "0"
-
-
-def _resolve_parallel_jobs(jobs: int | None) -> int | None:
-    """Late-bound :func:`repro.parallel.executor.resolve_jobs` (no cycle)."""
-    from repro.parallel.executor import resolve_jobs
-
-    return resolve_jobs(jobs)
-
-
-def _validate_default() -> bool:
-    return os.environ.get("REPRO_MODELCHECK_VALIDATE", "") not in ("", "0")
 
 
 # ----------------------------------------------------------------------
@@ -1058,10 +1042,8 @@ def check_snap_safety(
         factory = protocol_factory or SnapPif.for_network
         protocol = factory(network, root)
     k = protocol.constants
-    if memo is None:
-        memo = _memo_enabled_default()
-    if validate_memo is None:
-        validate_memo = _validate_default()
+    memo = settings.resolve("memo", memo)
+    validate_memo = settings.resolve("validate_memo", validate_memo)
     engine = (
         ModelCheckMemo(protocol, network, capacity=None, validate=validate_memo)
         if memo
@@ -1559,7 +1541,7 @@ def check_cycle_liveness_synchronous(
     stops early on counterexamples.
     """
     if config_slice is None:
-        n_jobs = _resolve_parallel_jobs(jobs)
+        n_jobs = settings.resolve("jobs", jobs)
         if n_jobs is not None:
             return _check_sharded_sweep(
                 network,
@@ -1582,10 +1564,8 @@ def check_cycle_liveness_synchronous(
         factory = protocol_factory or SnapPif.for_network
         protocol = factory(network, root)
     k = protocol.constants
-    if memo is None:
-        memo = _memo_enabled_default()
-    if validate_memo is None:
-        validate_memo = _validate_default()
+    memo = settings.resolve("memo", memo)
+    validate_memo = settings.resolve("validate_memo", validate_memo)
     engine = (
         ModelCheckMemo(
             protocol, network, capacity=memo_capacity, validate=validate_memo

@@ -52,7 +52,9 @@ class TestSchema:
 class TestBackend:
     def test_resolve_rejects_unknown(self, monkeypatch) -> None:
         monkeypatch.delenv("REPRO_COLUMNAR_BACKEND", raising=False)
-        with pytest.raises(ReproError, match="unknown columnar backend"):
+        with pytest.raises(
+            ReproError, match=r"^backend must be one of .*, got 'psychic'"
+        ):
             resolve_backend("psychic")
 
     def test_resolve_reads_environment(self, monkeypatch) -> None:

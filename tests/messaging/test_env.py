@@ -1,118 +1,109 @@
-"""Knob-resolution hardening: garbage in, named error out.
+"""Transport knobs: garbage in, named error out.
 
-Every transport knob resolves explicit > environment > default, and
-every invalid value — zero, negative, bool, float, unknown model name,
-garbage environment string — must raise
-:class:`~repro.errors.MessagingError` naming both the offending value
-and its source.
+The three transport knobs are rows of :mod:`repro.settings`
+(``tests/test_settings.py`` covers every row the same way).  These
+cases pin them from the transport's side: every invalid value raises
+:class:`~repro.errors.MessagingError` naming the value and its source.
+Parameter ids keep the names of the per-knob resolvers the rows
+replaced.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import settings
 from repro.errors import MessagingError, ReproError
-from repro.messaging import (
-    DEFAULT_CHANNEL_CAPACITY,
-    DEFAULT_HEARTBEAT,
-    DEFAULT_MESSAGE_MODEL,
-    MESSAGE_MODELS,
-    check_loss_rate,
-    resolve_channel_capacity,
-    resolve_heartbeat,
-    resolve_message_model,
-)
+from repro.messaging import check_loss_rate
 
 
 class TestMessageModel:
     def test_default(self, monkeypatch) -> None:
         monkeypatch.delenv("REPRO_MESSAGE_MODEL", raising=False)
-        assert resolve_message_model() == DEFAULT_MESSAGE_MODEL
+        assert settings.resolve("message_model") == "eager"
 
     def test_explicit_wins_over_env(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_MESSAGE_MODEL", "async")
-        assert resolve_message_model("eager") == "eager"
+        assert settings.resolve("message_model", "eager") == "eager"
 
     def test_env(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_MESSAGE_MODEL", "async")
-        assert resolve_message_model() == "async"
+        assert settings.resolve("message_model") == "async"
 
     @pytest.mark.parametrize("bad", ["sync", "EAGER", "0", "tcp"])
     def test_unknown_name_is_named_in_error(self, bad, monkeypatch) -> None:
         with pytest.raises(MessagingError) as excinfo:
-            resolve_message_model(bad)
+            settings.resolve("message_model", bad)
         assert repr(bad) in str(excinfo.value)
         assert "argument" in str(excinfo.value)
         monkeypatch.setenv("REPRO_MESSAGE_MODEL", bad)
         with pytest.raises(MessagingError) as excinfo:
-            resolve_message_model()
+            settings.resolve("message_model")
         assert "REPRO_MESSAGE_MODEL" in str(excinfo.value)
 
     def test_all_models_resolve(self) -> None:
-        for model in MESSAGE_MODELS:
-            assert resolve_message_model(model) == model
+        for model in ("eager", "async"):
+            assert settings.resolve("message_model", model) == model
+
+
+CAPACITY = pytest.param("channel_capacity", id="resolve_channel_capacity")
+HEARTBEAT = pytest.param("heartbeat", id="resolve_heartbeat")
+KNOB_ENV = [
+    pytest.param(
+        "channel_capacity", "REPRO_CHANNEL_CAPACITY",
+        id="resolve_channel_capacity-REPRO_CHANNEL_CAPACITY",
+    ),
+    pytest.param(
+        "heartbeat", "REPRO_MESSAGE_HEARTBEAT",
+        id="resolve_heartbeat-REPRO_MESSAGE_HEARTBEAT",
+    ),
+]
 
 
 class TestPositiveIntKnobs:
-    @pytest.mark.parametrize(
-        "resolve, env_var, default",
-        [
-            (
-                resolve_channel_capacity,
-                "REPRO_CHANNEL_CAPACITY",
-                DEFAULT_CHANNEL_CAPACITY,
-            ),
-            (
-                resolve_heartbeat,
-                "REPRO_MESSAGE_HEARTBEAT",
-                DEFAULT_HEARTBEAT,
-            ),
-        ],
-    )
-    def test_resolution_chain(self, resolve, env_var, default, monkeypatch):
-        monkeypatch.delenv(env_var, raising=False)
-        assert resolve() == default
-        monkeypatch.setenv(env_var, "17")
-        assert resolve() == 17
-        assert resolve(3) == 3  # explicit beats environment
-
-    @pytest.mark.parametrize(
-        "resolve", [resolve_channel_capacity, resolve_heartbeat]
-    )
+    @pytest.mark.parametrize("knob", [CAPACITY, HEARTBEAT])
     @pytest.mark.parametrize("bad", [0, -1, -100, True, False, 2.5, "8"])
-    def test_bad_explicit_rejected(self, resolve, bad) -> None:
+    def test_bad_explicit_rejected(self, knob, bad) -> None:
         with pytest.raises(MessagingError) as excinfo:
-            resolve(bad)
+            settings.resolve(knob, bad)
         assert "argument" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "resolve, env_var",
+        "knob, env_var, default",
         [
-            (resolve_channel_capacity, "REPRO_CHANNEL_CAPACITY"),
-            (resolve_heartbeat, "REPRO_MESSAGE_HEARTBEAT"),
+            pytest.param(
+                "channel_capacity", "REPRO_CHANNEL_CAPACITY", 8,
+                id="resolve_channel_capacity-REPRO_CHANNEL_CAPACITY-8",
+            ),
+            pytest.param(
+                "heartbeat", "REPRO_MESSAGE_HEARTBEAT", 4,
+                id="resolve_heartbeat-REPRO_MESSAGE_HEARTBEAT-4",
+            ),
         ],
     )
+    def test_resolution_chain(self, knob, env_var, default, monkeypatch):
+        monkeypatch.delenv(env_var, raising=False)
+        assert settings.resolve(knob) == default
+        monkeypatch.setenv(env_var, "17")
+        assert settings.resolve(knob) == 17
+        assert settings.resolve(knob, 3) == 3  # explicit beats environment
+
+    @pytest.mark.parametrize("knob, env_var", KNOB_ENV)
     @pytest.mark.parametrize("bad", ["0", "-3", "eight", "1.5", "1e3"])
     def test_bad_env_rejected_with_source(
-        self, resolve, env_var, bad, monkeypatch
+        self, knob, env_var, bad, monkeypatch
     ) -> None:
         monkeypatch.setenv(env_var, bad)
         with pytest.raises(MessagingError) as excinfo:
-            resolve()
+            settings.resolve(knob)
         assert env_var in str(excinfo.value)
 
-    @pytest.mark.parametrize(
-        "resolve, env_var",
-        [
-            (resolve_channel_capacity, "REPRO_CHANNEL_CAPACITY"),
-            (resolve_heartbeat, "REPRO_MESSAGE_HEARTBEAT"),
-        ],
-    )
+    @pytest.mark.parametrize("knob, env_var", KNOB_ENV)
     def test_blank_env_falls_through_to_default(
-        self, resolve, env_var, monkeypatch
+        self, knob, env_var, monkeypatch
     ) -> None:
         monkeypatch.setenv(env_var, "   ")
-        assert resolve() in (DEFAULT_CHANNEL_CAPACITY, DEFAULT_HEARTBEAT)
+        assert settings.resolve(knob) == settings.row(knob).default
 
 
 class TestLossRate:

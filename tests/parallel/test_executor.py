@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import os
 
+from functools import partial
+
 import pytest
 
+from repro import settings
 from repro.parallel.executor import (
     ParallelError,
     ParallelExecutor,
     TaskFailure,
     chunk_ranges,
     raise_failures,
-    resolve_jobs,
-    resolve_worker_count,
 )
+
+#: The ``jobs`` row of the settings table.
+resolve_jobs = partial(settings.resolve, "jobs")
 
 
 # Module-level workers: the pool pickles them by reference.
@@ -72,8 +76,7 @@ class TestResolveJobs:
     def test_env_fallback(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_JOBS", "2")
         assert resolve_jobs(None) == 2
-        # resolve_jobs is the shared worker-count helper under its name.
-        assert resolve_worker_count(None, env_var="REPRO_JOBS", name="jobs") == 2
+        assert settings.row("jobs").lookup() == (2, "env")
 
     def test_unset_means_none(self, monkeypatch) -> None:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -90,7 +93,10 @@ class TestResolveJobs:
             resolve_jobs(0)
 
     def test_zero_rejected_with_value_in_message(self) -> None:
-        with pytest.raises(ParallelError, match="^jobs must be >= 1, got 0$"):
+        with pytest.raises(
+            ParallelError,
+            match=r"^jobs must be a positive integer, got 0 \(argument\)$",
+        ):
             resolve_jobs(0)
 
     def test_negative_rejected_with_value_in_message(self) -> None:
@@ -103,12 +109,12 @@ class TestResolveJobs:
         with pytest.raises(ParallelError, match="2.0"):
             resolve_jobs(2.0)  # type: ignore[arg-type]
         # bool is an int subclass but never a worker count; the error
-        # names the knob, the value and its type.
+        # names the knob, the value and its source.
         for flag in (True, False):
             with pytest.raises(ParallelError) as err:
                 resolve_jobs(flag)  # type: ignore[arg-type]
             assert str(err.value) == (
-                f"jobs must be a positive integer, got {flag!r} (bool)"
+                f"jobs must be a positive integer, got {flag!r} (argument)"
             )
         with pytest.raises(ParallelError, match="'4'"):
             resolve_jobs("4")  # type: ignore[arg-type]
@@ -119,7 +125,8 @@ class TestResolveJobs:
             with pytest.raises(ParallelError) as err:
                 resolve_jobs(None)
             assert str(err.value) == (
-                f"REPRO_JOBS must be a positive integer, got {raw!r}"
+                f"jobs must be a positive integer, got {raw!r} "
+                "(environment variable REPRO_JOBS)"
             )
 
     def test_nonpositive_env_names_variable_and_value(
@@ -127,7 +134,7 @@ class TestResolveJobs:
     ) -> None:
         for raw in ("0", "-2"):
             monkeypatch.setenv("REPRO_JOBS", raw)
-            with pytest.raises(ParallelError, match=f"REPRO_JOBS.*{raw!r}"):
+            with pytest.raises(ParallelError, match=f"{raw!r}.*REPRO_JOBS"):
                 resolve_jobs(None)
 
 

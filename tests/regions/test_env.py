@@ -1,34 +1,28 @@
 """Knob hardening shared by every worker-count and engine switch.
 
-Worker-count knobs go through ``resolve_worker_count`` (the precedence
-and named-value validation ``resolve_jobs`` and the wave service's
-knobs use), so bad values must fail loudly with the offending value in
-the error, and an explicit argument must beat the environment.  Boolean
-switches follow the ``REPRO_ENGINE_VALIDATE`` convention: any value
-other than empty or ``0`` turns them on.  These cases once guarded the
+Every knob is a row of :mod:`repro.settings` and resolves through
+:meth:`~repro.settings.Setting.resolve`, so bad values must fail loudly
+with the offending value in the error, and an explicit argument must
+beat the environment.  Boolean switches follow the one boolean grammar
+(``1/true/yes/on``, ``0/false/no/off``).  These cases once guarded the
 region-parallel daemon's knobs (DESIGN.md §14); they now pin the shared
-resolvers that remain.
+resolution on a sample row and on the rows that remain.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import pytest
 
+from repro import settings
 from repro.cli import build_parser
-from repro.parallel.executor import (
-    ParallelError,
-    resolve_jobs,
-    resolve_worker_count,
-)
-from repro.runtime.simulator import resolve_engine
+from repro.parallel.executor import ParallelError
 
-#: A sample knob: the resolver takes its variable and name as inputs.
+#: A sample worker-count row, resolved like every row of the table.
 THREADS_ENV = "REPRO_SAMPLE_THREADS"
-resolve_threads = partial(
-    resolve_worker_count, env_var=THREADS_ENV, name="sample threads"
+SAMPLE = settings.Setting(
+    "sample threads", THREADS_ENV, "int", None, ParallelError, "sample knob"
 )
+resolve_threads = SAMPLE.resolve
 
 
 class TestRegionThreads:
@@ -52,7 +46,8 @@ class TestRegionThreads:
         with pytest.raises(ParallelError) as err:
             resolve_threads(None)
         assert str(err.value) == (
-            f"{THREADS_ENV} must be a positive integer, got {bad!r}"
+            f"sample threads must be a positive integer, got {bad!r} "
+            f"(environment variable {THREADS_ENV})"
         )
 
     @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "4"])
@@ -63,40 +58,46 @@ class TestRegionThreads:
         assert str(bad) in str(err.value)
 
     def test_shares_resolve_jobs_precedence_helper(self, monkeypatch) -> None:
-        # resolve_jobs is the same helper under its own name: no
-        # duplicated precedence logic.
+        # The jobs row and the sample row resolve through the same
+        # method: no duplicated precedence logic.
         monkeypatch.setenv("REPRO_JOBS", "6")
-        assert resolve_jobs() == resolve_worker_count(
-            None, env_var="REPRO_JOBS", name="jobs"
-        )
+        assert settings.resolve("jobs") == settings.row("jobs").resolve() == 6
         monkeypatch.setenv(THREADS_ENV, "6")
         assert resolve_threads(None) == 6
 
     def test_jobs_error_wording_unchanged(self, monkeypatch) -> None:
+        # The one knob-error format (docs/API.md «Settings»).
         monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(ParallelError, match="REPRO_JOBS must be a positive integer, got 'zero'"):
-            resolve_jobs()
-        with pytest.raises(ParallelError, match="jobs must be >= 1, got 0"):
-            resolve_jobs(0)
+        with pytest.raises(ParallelError) as err:
+            settings.resolve("jobs")
+        assert str(err.value) == (
+            "jobs must be a positive integer, got 'zero' "
+            "(environment variable REPRO_JOBS)"
+        )
+        with pytest.raises(ParallelError) as err:
+            settings.resolve("jobs", 0)
+        assert str(err.value) == (
+            "jobs must be a positive integer, got 0 (argument)"
+        )
 
 
 class TestRegionParallel:
-    """The boolean convention, on the engine-validation switch."""
+    """The boolean grammar, on the engine-validation switch."""
 
     def test_default_off(self, monkeypatch) -> None:
         monkeypatch.delenv("REPRO_ENGINE_VALIDATE", raising=False)
-        assert resolve_engine()[1] is False
+        assert settings.resolve("validate_engine") is False
 
     @pytest.mark.parametrize("raw,expect", [("", False), ("0", False), ("1", True), ("yes", True)])
     def test_environment_truthiness(self, monkeypatch, raw, expect) -> None:
         monkeypatch.setenv("REPRO_ENGINE_VALIDATE", raw)
-        assert resolve_engine()[1] is expect
+        assert settings.resolve("validate_engine") is expect
 
     def test_explicit_wins(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_ENGINE_VALIDATE", "1")
-        assert resolve_engine(validate_engine=False)[1] is False
+        assert settings.resolve("validate_engine", False) is False
         monkeypatch.setenv("REPRO_ENGINE_VALIDATE", "0")
-        assert resolve_engine(validate_engine=True)[1] is True
+        assert settings.resolve("validate_engine", True) is True
 
 
 class TestCliFlags:

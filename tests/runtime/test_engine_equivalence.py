@@ -162,20 +162,22 @@ class TestEngineSelection:
         from repro.messaging import MessageSimulator
 
         expected = (
-            "unknown engine 'psychic'; expected 'incremental', 'full' or "
-            "'columnar'"
+            "engine must be one of ['incremental', 'full', 'columnar'], "
+            "got 'psychic' ({})"
         )
         # Both simulators share one resolver: same bad value, same
-        # message, whether it arrives as an argument or from the env.
+        # message, naming where the value came from.
         for cls in (Simulator, MessageSimulator):
             with pytest.raises(ScheduleError) as excinfo:
                 cls(_NoopProtocol(), ring(4), engine="psychic")
-            assert str(excinfo.value) == expected
+            assert str(excinfo.value) == expected.format("argument")
             with monkeypatch.context() as m:
                 m.setenv("REPRO_ENGINE", "psychic")
                 with pytest.raises(ScheduleError) as excinfo:
                     cls(_NoopProtocol(), ring(4))
-            assert str(excinfo.value) == expected
+            assert str(excinfo.value) == expected.format(
+                "environment variable REPRO_ENGINE"
+            )
 
     def test_env_override(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_ENGINE", "full")

@@ -1,26 +1,26 @@
-"""REPRO_SERVICE_* knob resolution: precedence and named-value errors."""
+"""REPRO_SERVICE_* knob resolution: precedence and named-value errors.
+
+The three service knobs are rows of :mod:`repro.settings`
+(``tests/test_settings.py`` covers every row the same way); these cases
+pin them from the service's side.
+"""
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+from repro import settings
 from repro.parallel.executor import ParallelError
-from repro.service.env import (
-    BATCH_WINDOW_ENV,
-    DEFAULT_BATCH_WINDOW,
-    DEFAULT_MAX_IN_FLIGHT,
-    DEFAULT_QUEUE_BOUND,
-    MAX_IN_FLIGHT_ENV,
-    QUEUE_BOUND_ENV,
-    resolve_batch_window,
-    resolve_max_in_flight,
-    resolve_queue_bound,
-)
 
 KNOBS = [
-    (resolve_batch_window, BATCH_WINDOW_ENV, DEFAULT_BATCH_WINDOW),
-    (resolve_max_in_flight, MAX_IN_FLIGHT_ENV, DEFAULT_MAX_IN_FLIGHT),
-    (resolve_queue_bound, QUEUE_BOUND_ENV, DEFAULT_QUEUE_BOUND),
+    (partial(settings.resolve, name), settings.row(name).env, default)
+    for name, default in (
+        ("batch_window", 32),
+        ("max_in_flight", 4),
+        ("queue_bound", 1024),
+    )
 ]
 KNOB_IDS = ["batch-window", "max-in-flight", "queue-bound"]
 
@@ -74,7 +74,7 @@ class TestRejectsGarbage:
         monkeypatch.setenv(env, raw)
         with pytest.raises(ParallelError) as exc:
             resolve()
-        # The same named-value discipline as resolve_jobs: the error
-        # says which variable held the offending value.
+        # The same named-value discipline as every row: the error says
+        # which variable held the offending value.
         assert env in str(exc.value)
         assert raw in str(exc.value)

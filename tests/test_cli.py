@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro import cli, settings
 from repro.cli import build_parser, main
+from repro.runtime.simulator import Simulator
 
 
 class TestParser:
@@ -61,6 +65,69 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "snap safety" in out
         assert "closure" in out
+
+
+class TestEngineFlag:
+    @pytest.mark.parametrize("preset", [None, "columnar"])
+    def test_engine_applies_for_the_command_only(
+        self, preset, capsys, monkeypatch
+    ) -> None:
+        if preset is None:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_ENGINE", preset)
+        engines = []
+
+        class Spy(Simulator):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                engines.append(self.engine)
+
+        monkeypatch.setattr(cli, "Simulator", Spy)
+        before = dict(os.environ)
+        assert main(["demo", "--engine", "full", "--size", "4"]) == 0
+        capsys.readouterr()
+        assert engines == ["full"]
+        assert dict(os.environ) == before
+
+
+class TestConfig:
+    def test_lists_every_knob_with_value_and_source(
+        self, capsys, monkeypatch
+    ) -> None:
+        for row in settings.SETTINGS:
+            monkeypatch.delenv(row.env, raising=False)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert main(["config"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for row in settings.SETTINGS:
+            assert any(line.startswith(f"{row.env} ") for line in lines)
+        jobs = next(line for line in lines if line.startswith("REPRO_JOBS "))
+        assert [cell.strip() for cell in jobs.split("|")][1:3] == ["3", "env"]
+        engine = next(
+            line for line in lines if line.startswith("REPRO_ENGINE ")
+        )
+        assert [cell.strip() for cell in engine.split("|")][1:3] == [
+            "incremental",
+            "default",
+        ]
+
+    def test_bad_value_exits_nonzero_naming_the_variable(
+        self, capsys, monkeypatch
+    ) -> None:
+        monkeypatch.setenv("REPRO_CHANNEL_CAPACITY", "eight")
+        assert main(["config"]) != 0
+        err = capsys.readouterr().err
+        assert "REPRO_CHANNEL_CAPACITY" in err
+        assert "'eight'" in err
+
+    def test_knob_flags_take_help_from_the_rows(self) -> None:
+        parser = build_parser()
+        chaos = parser._subparsers._group_actions[0].choices["chaos"]
+        helps = {a.dest: a.help for a in chaos._actions}
+        assert helps["capacity"] == settings.row("channel_capacity").help
+        assert helps["jobs"] == settings.row("jobs").help
+        assert helps["engine"] == settings.row("engine").help
 
 
 class TestTelemetryFlag:
