@@ -145,6 +145,45 @@ def _first_violation(monitor: PifCycleMonitor) -> str | None:
     return None
 
 
+def make_simulator(
+    transport: str,
+    protocol: Protocol,
+    network: Network,
+    daemon: Daemon,
+    *,
+    capacity: int | None = None,
+    model: str | None = None,
+    heartbeat: int | None = None,
+    loss_rate: float = 0.0,
+    **common,
+) -> Simulator:
+    """The simulator of a named transport, built from ``common`` kwargs.
+
+    Corpus files and campaign grids name the transport, so an unknown
+    name raises :class:`~repro.errors.MessagingError` instead of
+    falling back to shared memory.  The link knobs apply to the
+    message transport only.
+    """
+    if transport == "shared-memory":
+        return Simulator(protocol, network, daemon, **common)
+    if transport == "message":
+        from repro.messaging import MessageSimulator
+
+        return MessageSimulator(
+            protocol,
+            network,
+            daemon,
+            capacity=capacity,
+            model=model,
+            heartbeat=heartbeat,
+            loss_rate=loss_rate,
+            **common,
+        )
+    raise MessagingError(
+        f"unknown transport {transport!r}; known: 'shared-memory', 'message'"
+    )
+
+
 def run_chaos(
     protocol: Protocol,
     network: Network,
@@ -189,41 +228,25 @@ def run_chaos(
         network=network,
     )
     monitor = PifCycleMonitor(protocol, network, quarantine=quarantine)
+    sim = make_simulator(
+        transport,
+        protocol,
+        network,
+        make_daemon(daemon),
+        seed=seed,
+        monitors=[monitor],
+        engine=engine,
+        validate_engine=validate_engine,
+        capacity=capacity,
+        model=model,
+        heartbeat=heartbeat,
+        loss_rate=loss_rate,
+    )
     if transport == "message":
-        from repro.messaging import MessageSimulator
-
-        sim: Simulator | MessageSimulator = MessageSimulator(
-            protocol,
-            network,
-            make_daemon(daemon),
-            seed=seed,
-            monitors=[monitor],
-            engine=engine,
-            validate_engine=validate_engine,
-            capacity=capacity,
-            model=model,
-            heartbeat=heartbeat,
-            loss_rate=loss_rate,
-        )
         run.capacity = sim.capacity
         run.model = sim.model
         run.heartbeat = sim.heartbeat
         run.loss_rate = sim.loss_rate
-    elif transport == "shared-memory":
-        sim = Simulator(
-            protocol,
-            network,
-            make_daemon(daemon),
-            seed=seed,
-            monitors=[monitor],
-            engine=engine,
-            validate_engine=validate_engine,
-        )
-    else:
-        raise MessagingError(
-            f"unknown transport {transport!r}; "
-            f"known: 'shared-memory', 'message'"
-        )
 
     queue: list[FaultEvent] = scenario.seeded(seed).timeline()
     cell_span = (

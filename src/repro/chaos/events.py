@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, ClassVar, Mapping
 
-from repro.errors import ReproError, TopologyError
+from repro.errors import MessagingError, ReproError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.simulator import Simulator
@@ -494,15 +494,14 @@ class ByzantineNode(FaultEvent):
 
 
 def _channels_or_raise(sim: "Simulator", kind: str):
-    channels = getattr(sim, "channels", None)
-    if channels is None:
-        from repro.errors import MessagingError
+    from repro.messaging.runtime import MessageSimulator
 
+    if not isinstance(sim, MessageSimulator):
         raise MessagingError(
             f"fault event {kind!r} needs a message-passing simulator "
             f"(per-link channels); this run uses the shared-memory model"
         )
-    return channels
+    return sim.channels
 
 
 def _pick_link(

@@ -25,14 +25,13 @@ from typing import Callable, Mapping, Sequence
 
 from repro import settings
 from repro import telemetry as _telemetry
-from repro.chaos.campaign import ChaosRun
+from repro.chaos.campaign import ChaosRun, make_simulator
 from repro.chaos.events import event_from_dict
 from repro.core.monitor import PifCycleMonitor
 from repro.errors import ReplayError, ReproError
 from repro.runtime.daemons import ReplayDaemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Protocol
-from repro.runtime.simulator import Simulator
 
 __all__ = [
     "replay_tape",
@@ -71,6 +70,9 @@ def replay_tape(
     choices).  Returns the first violation message, or ``None`` if the
     tape replays cleanly.
 
+    The transport comes from outside (a corpus file): one other than
+    ``"shared-memory"`` and ``"message"`` raises
+    :class:`~repro.errors.MessagingError` whatever ``strict`` says.
     ``transport="message"`` replays over the message-passing runtime
     with the recorded knobs and — crucially — the recorded ``seed``:
     the per-step delivery and publish-loss RNGs are stateless functions
@@ -95,30 +97,19 @@ def replay_tape(
         and (not messaging or item["selection"])
     ]
     monitor = PifCycleMonitor(protocol, network)
-    if messaging:
-        from repro.messaging import MessageSimulator
-
-        sim: Simulator | MessageSimulator = MessageSimulator(
-            protocol,
-            network,
-            ReplayDaemon(schedule),
-            seed=seed,
-            monitors=[monitor],
-            validate_engine=validate_engine,
-            capacity=capacity,
-            model=model,
-            heartbeat=heartbeat,
-            loss_rate=loss_rate,
-        )
-    else:
-        sim = Simulator(
-            protocol,
-            network,
-            ReplayDaemon(schedule),
-            seed=seed,
-            monitors=[monitor],
-            validate_engine=validate_engine,
-        )
+    sim = make_simulator(
+        transport,
+        protocol,
+        network,
+        ReplayDaemon(schedule),
+        seed=seed,
+        monitors=[monitor],
+        validate_engine=validate_engine,
+        capacity=capacity,
+        model=model,
+        heartbeat=heartbeat,
+        loss_rate=loss_rate,
+    )
     step_index = 0
     try:
         for item in tape:

@@ -1,9 +1,13 @@
-"""repro.columnar — flat per-variable state kernel (the third engine).
+"""repro.columnar — the kernels the simulator's one step loop drives.
 
-The object engines (``full``, ``incremental``) evaluate guards by
-constructing per-node :class:`~repro.runtime.protocol.Context` objects
-over a tuple-of-dataclasses configuration; every step costs O(N) just
-to copy the tuple and rebuild the enabled map.  The columnar engine
+:class:`~repro.runtime.simulator.Simulator` runs every engine through
+one kernel interface (``load``, ``materialize``, ``enabled_map``,
+``execute_selection``, ``apply_updates``, ``rebuild``).  The object
+kernels of :mod:`repro.columnar.bridge` (``engine="incremental"`` and
+``engine="full"``) evaluate guards by constructing per-node
+:class:`~repro.runtime.protocol.Context` objects over a
+tuple-of-dataclasses configuration; every step costs O(N) just to copy
+the tuple and rebuild the enabled map.  The columnar kernel
 (``engine="columnar"``, ``REPRO_ENGINE=columnar``) instead stores the
 configuration as one flat array per variable plus a CSR neighbor index,
 compiles each protocol's guards once per ``(protocol, network)`` into
@@ -13,7 +17,8 @@ step — O(dirty ∪ N(dirty)), independent of N.
 Layering: ``schema`` / ``expr`` (dependency-free declarations — field
 layouts and guard-expression IR) ← ``backend`` (pure ``array`` vs numpy
 storage) ← ``csr`` / ``block`` (flat storage) ← ``compiler`` (generic
-spec → kernel compilation) ← ``engine`` (runtime + object bridge).
+spec → kernel compilation) ← ``bridge`` (the object kernels) ←
+``engine`` (the columnar kernel's compile lifecycle).
 Protocols declare a :class:`~repro.columnar.expr.ColumnarSpec` via
 :meth:`~repro.runtime.protocol.Protocol.columnar_spec` and the compiler
 builds both the scalar and the vectorized kernel from it — no

@@ -1,14 +1,21 @@
-"""Per-node object bridge: the columnar engine's fallback kernel.
+"""The object kernels: guards evaluated per node on object configurations.
 
-Protocols that do not implement
-:meth:`~repro.runtime.protocol.Protocol.compile_columnar` still run
-under ``engine="columnar"`` through this bridge, which satisfies the
-kernel interface by delegating to the protocol's ordinary object path
-(``enabled_map`` / ``enabled_map_incremental`` / ``execute_selection``).
-Performance then matches the incremental engine — the bridge exists for
-*uniformity*, so daemons, monitors, fault hooks and the lockstep
-validator see one engine surface regardless of whether a compiled
-kernel is available.
+:class:`~repro.runtime.simulator.Simulator` drives every engine through
+one kernel interface (``load``, ``materialize``, ``enabled_map``,
+``execute_selection``, ``apply_updates``, ``rebuild``).  These two
+kernels implement it over the protocol's ordinary object path:
+
+* :class:`ObjectBridgeKernel` is ``engine="incremental"``: after a step
+  it re-evaluates guards only on the 1-hop neighborhood of the nodes
+  the step rewrote.  The columnar engine also falls back to it for
+  protocols that do not implement
+  :meth:`~repro.runtime.protocol.Protocol.compile_columnar`.
+* :class:`FullRecomputeKernel` is ``engine="full"``: every guard at
+  every node after every step, the reference the lockstep validator
+  and the engine benchmarks compare against.
+
+The enabled map is handed out as is, without a copy: it is rebuilt,
+never mutated, so a caller may keep it until the next write.
 """
 
 from __future__ import annotations
@@ -19,11 +26,16 @@ from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Protocol
 from repro.runtime.state import Configuration, NodeState
 
-__all__ = ["ObjectBridgeKernel"]
+__all__ = ["FullRecomputeKernel", "ObjectBridgeKernel"]
 
 
 class ObjectBridgeKernel:
-    """Kernel interface over the per-node object engine."""
+    """Kernel interface over the per-node object path, with dirty repair."""
+
+    #: ``materialize`` is free: the configuration *is* the state.
+    lazy_objects = False
+    #: The object path is its own reference; nothing to re-execute.
+    validates_successor = False
 
     def __init__(self, protocol: Protocol, network: Network) -> None:
         self.protocol = protocol
@@ -39,14 +51,28 @@ class ObjectBridgeKernel:
             configuration, self.network, cache=self._cache
         )
 
+    def rebuild(self, network: Network, configuration: Configuration) -> None:
+        """Swap the topology; repair on the nodes whose links changed.
+
+        Only those nodes can be re-domained by the simulator, so they
+        are the whole dirty set.
+        """
+        dirty = set(self.network.changed_nodes(network))
+        self.network = network
+        self._config = configuration
+        if dirty:
+            self._refresh(dirty)
+
     def materialize(self) -> Configuration:
         assert self._config is not None, "kernel used before load()"
         return self._config
 
     def enabled_map(self) -> dict[int, list[Action]]:
-        return {p: list(actions) for p, actions in self._entries.items()}
+        return self._entries
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
+        # Statements read the configuration the enabled map was
+        # evaluated on, so they share its evaluation cache.
         after, dirty = self.protocol.execute_selection(
             self._config, self.network, selection, cache=self._cache
         )
@@ -73,3 +99,13 @@ class ObjectBridgeKernel:
             self._entries, self._config, self.network, dirty, cache=cache
         )
         self._cache = cache
+
+
+class FullRecomputeKernel(ObjectBridgeKernel):
+    """The object kernel that re-evaluates every guard after every write."""
+
+    def _refresh(self, dirty: set[int]) -> None:
+        self._cache = {}
+        self._entries = self.protocol.enabled_map(
+            self._config, self.network, cache=self._cache
+        )

@@ -1,12 +1,13 @@
 """The columnar engine runtime: compile-once, step-many.
 
-:class:`ColumnarRuntime` is what the simulator talks to when
-``engine="columnar"``.  On construction (and after every topology
-rebuild) it asks the protocol to compile itself for the network via
+:class:`ColumnarRuntime` is the kernel the simulator drives when
+``engine="columnar"``: it implements the same kernel interface as the
+object kernels of :mod:`repro.columnar.bridge` and adds the compile
+lifecycle.  On construction (and on every topology rebuild) it asks
+the protocol to compile itself for the network via
 :meth:`~repro.runtime.protocol.Protocol.compile_columnar`; protocols
 without a compiled kernel fall back to the
-:class:`~repro.columnar.bridge.ObjectBridgeKernel`, so the engine
-surface is uniform either way.
+:class:`~repro.columnar.bridge.ObjectBridgeKernel`.
 
 Telemetry (when enabled): each compile runs under a
 ``columnar.compile`` span (its duration lands in the
@@ -33,6 +34,10 @@ __all__ = ["ColumnarRuntime"]
 
 class ColumnarRuntime:
     """One compiled kernel plus its lifecycle (load / step / rebuild)."""
+
+    #: Object configurations are built from the columns on demand, so
+    #: the simulator materializes them only when something reads them.
+    lazy_objects = True
 
     def __init__(
         self,
@@ -98,7 +103,7 @@ class ColumnarRuntime:
             registry.set("columnar.compiled", 1 if compiled else 0)
 
     # ------------------------------------------------------------------
-    # Engine surface (what the Simulator calls)
+    # Kernel interface (what the Simulator calls)
     # ------------------------------------------------------------------
     def load(self, configuration: Configuration) -> None:
         """Replace the whole state (reset / global transient fault)."""
@@ -108,7 +113,7 @@ class ColumnarRuntime:
         """Recompile for a changed topology, then load ``configuration``."""
         self._compile(self.kernel.protocol, network, configuration)
 
-    def configuration(self) -> Configuration:
+    def materialize(self) -> Configuration:
         return self.kernel.materialize()
 
     def enabled_map(self) -> dict[int, list[Action]]:

@@ -11,8 +11,8 @@ lockstep under the same seed and reports the first divergence.
 
 Transient-fault events (corruption, crash/recover, topology churn) may
 be injected into *both* runs — the transform syncs corrupted register
-images instantly (see :meth:`~repro.messaging.MessageSimulator.
-_sync_views`), so equivalence holds across fault boundaries too.  Link
+images instantly (see :meth:`~repro.messaging.runtime.ViewKernel.
+apply_updates`), so equivalence holds across fault boundaries too.  Link
 faults obviously cannot be mirrored into the shared-memory run and are
 rejected.
 
@@ -248,7 +248,7 @@ def _check_async_conformance(
         for p in message.network.nodes:
             history[p].add(config[p])
 
-    floors = dict(message._applied)
+    floors = dict(message._kernel.applied)
     mismatches: list[ConformanceMismatch] = []
     steps = 0
 
@@ -269,7 +269,7 @@ def _check_async_conformance(
                         )
                     )
                     return
-        for link, version in message._applied.items():
+        for link, version in message._kernel.applied.items():
             floor = floors.get(link)
             if floor is not None and version < floor:
                 mismatches.append(

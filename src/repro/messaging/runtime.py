@@ -1,10 +1,13 @@
-"""The message-passing runtime: shared memory transformed onto links.
+"""The message-passing transport: shared memory transformed onto links.
 
 :class:`MessageSimulator` runs any existing guarded-action
 :class:`~repro.runtime.protocol.Protocol` — SnapPif unmodified — over
 per-link bounded-capacity channels, realizing the classic
 shared-memory→message-passing transform (Delaët–Devismes–Nesterenko–
-Tixeuil, arXiv:0802.1123; Cournier et al., arXiv:0905.2540):
+Tixeuil, arXiv:0802.1123; Cournier et al., arXiv:0905.2540).  The
+transform changes only where a process reads its neighbors, so the
+transport is a :class:`~repro.runtime.simulator.Simulator` subclass
+that drives a different kernel, :class:`ViewKernel`:
 
 * every process keeps a *local view*: its own register state plus the
   **last received copy** of each neighbor's registers;
@@ -19,11 +22,14 @@ Tixeuil, arXiv:0802.1123; Cournier et al., arXiv:0905.2540):
   only strictly newer versions, so duplicated and reordered copies can
   never regress a view to an older snapshot.
 
-Each :meth:`MessageSimulator.step` is a fixed phase sequence —
-**deliver → evaluate → select/execute → publish** — with every phase
-deterministic under the run seed: channels are visited in ascending
-``(src, dst)`` order, buffers deliver in ascending sequence order, and
-the delivery/loss coins come from *stateless per-step* generators
+The subclass adds only the links: the channels, the deliver and publish
+phases around the inherited selection and bookkeeping, link-fault
+surgery, idle steps and the quiet/terminal rules.  Each
+:meth:`MessageSimulator.step` is a fixed phase sequence — **deliver →
+evaluate → select/execute → publish** — with every phase deterministic
+under the run seed: channels are visited in ascending ``(src, dst)``
+order, buffers deliver in ascending sequence order, and the
+delivery/loss coins come from *stateless per-step* generators
 (``Random(seed·STRIDE + 2·step [+1])``), so dropping a fault-tape entry
 never shifts any later step's randomness — the property the ddmin
 shrinker's identical-violation oracle relies on — and runs are
@@ -40,21 +46,20 @@ checks this in lockstep, faults included).
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro import settings
 from repro import telemetry as _telemetry
-from repro.errors import MessagingError, ProtocolError, ScheduleError
+from repro.errors import MessagingError, ProtocolError
 from repro.messaging.channel import Channel, check_loss_rate
-from repro.runtime.daemons import Daemon, SynchronousDaemon
+from repro.runtime.daemons import Daemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Context, Protocol
-from repro.runtime.rounds import RoundCounter
-from repro.runtime.simulator import DEFAULT_MAX_STEPS, Monitor, RunResult
+from repro.runtime.simulator import Monitor, Simulator
 from repro.runtime.state import Configuration, NodeState
-from repro.runtime.trace import StepRecord, Trace
+from repro.runtime.trace import StepRecord
 
-__all__ = ["LocalView", "MessageSimulator"]
+__all__ = ["LocalView", "MessageSimulator", "ViewKernel"]
 
 #: Mixing stride for the per-step stateless generators; the same prime
 #: the scenario DSL uses for per-event seeds.
@@ -89,12 +94,182 @@ class LocalView:
             ) from None
 
 
-class MessageSimulator:
+class ViewKernel:
+    """The object kernel whose guards read local views, not shared memory.
+
+    It owns the ground truth, the per-sender publication versions, every
+    local view and the per-link applied version (the transport's
+    delivery acknowledgement).  Guards are re-evaluated only at the
+    nodes whose view changed since their last evaluation.  Writes that
+    strike memory directly (:meth:`load`, :meth:`apply_updates`) reach
+    the published images at once; writes by a step reach neighbors only
+    through :meth:`receive`.
+    """
+
+    def __init__(
+        self, protocol: Protocol, network: Network, configuration: Configuration
+    ) -> None:
+        self.protocol = protocol
+        self.network = network
+        #: Ground truth: the real register state of every process.
+        self.truth: list[NodeState] = list(configuration.states)
+        #: Per-sender publication version (bumped on every truth change).
+        self.version: dict[int, int] = {p: 0 for p in network.nodes}
+        #: ``views[p]``: p's own state + last applied copy per neighbor.
+        #: Fresh links start *consistent*: the link-establishment
+        #: handshake exchanges current states.
+        self.views: dict[int, dict[int, NodeState]] = {
+            p: {p: configuration[p]} for p in network.nodes
+        }
+        #: ``applied[(u, v)]``: highest version of ``u`` applied at ``v``.
+        self.applied: dict[tuple[int, int], int] = {}
+        for u in network.nodes:
+            for v in network.neighbors(u):
+                self.applied[(u, v)] = 0
+                self.views[v][u] = configuration[u]
+        #: Nodes whose view changed since their guards were evaluated.
+        self._stale: set[int] = set(network.nodes)
+        #: Per-node macro memo tables, dropped when the view changes.
+        self._caches: dict[int, dict] = {}
+        self._enabled: dict[int, list[Action]] = {}
+        self._config: Configuration | None = configuration
+
+    def _touch(self, p: int) -> None:
+        self._stale.add(p)
+        self._caches.pop(p, None)
+
+    def _write(self, p: int, state: NodeState) -> None:
+        """A new register value at ``p``: a new version, seen by ``p``."""
+        self.truth[p] = state
+        self.version[p] += 1
+        self.views[p][p] = state
+        self._touch(p)
+        self._config = None
+
+    def load(self, configuration: Configuration) -> None:
+        self.apply_updates(
+            {
+                p: configuration[p]
+                for p in self.network.nodes
+                if configuration[p] != self.truth[p]
+            }
+        )
+
+    def apply_updates(self, updates: Mapping[int, NodeState]) -> set[int]:
+        """Instantly write ``updates`` into truth and every neighbor view.
+
+        Transient faults strike *memory* — in the message model that
+        includes the published register images, so corruption is visible
+        to neighbors exactly as in shared memory (this keeps the
+        conformance theorem valid across corruption events).  Stale
+        in-flight copies stay buffered; the version bump makes the
+        receiver discard them on arrival.
+        """
+        for p, state in updates.items():
+            self._write(p, state)
+            for q in self.network.neighbors(p):
+                self.views[q][p] = state
+                self.applied[(p, q)] = self.version[p]
+                self._touch(q)
+        return set(updates)
+
+    def rebuild(self, network: Network, configuration: Configuration) -> None:
+        """Churn the views with the links, then write re-domained states.
+
+        A removed link loses its view copy and bookkeeping; a new link
+        handshakes to a consistent copy.  Only nodes whose links changed
+        can have been re-domained.
+        """
+        old = self.network
+        for u in old.nodes:
+            for v in old.neighbors(u):
+                if not network.has_edge(u, v):
+                    del self.applied[(u, v)]
+                    self.views[v].pop(u, None)
+                    self._touch(v)
+        for u in network.nodes:
+            for v in network.neighbors(u):
+                if (u, v) not in self.applied:
+                    self.applied[(u, v)] = self.version[u]
+                    self.views[v][u] = self.truth[u]
+                    self._touch(v)
+        self.network = network
+        self.apply_updates(
+            {
+                p: configuration[p]
+                for p in old.changed_nodes(network)
+                if configuration[p] != self.truth[p]
+            }
+        )
+
+    def materialize(self) -> Configuration:
+        """The ground-truth configuration (not any local view)."""
+        if self._config is None:
+            self._config = Configuration(tuple(self.truth))
+        return self._config
+
+    def enabled_map(self) -> dict[int, list[Action]]:
+        if self._stale:
+            self._refresh()
+        return self._enabled
+
+    def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
+        """Execute against local views; only the own view sees the write."""
+        updates: dict[int, NodeState] = {}
+        for p, action in selection.items():
+            ctx = Context(
+                p, self.network, LocalView(p, self.views[p]), self._caches.get(p)
+            )
+            state = action.execute(ctx)
+            if state != self.truth[p]:
+                updates[p] = state
+        for p, state in updates.items():
+            self._write(p, state)
+        return set(updates)
+
+    def receive(self, u: int, v: int, version: int, payload: NodeState) -> bool:
+        """Apply a copy of ``u`` at ``v``; False when it is not newer."""
+        if version <= self.applied[(u, v)]:
+            return False
+        self.applied[(u, v)] = version
+        if self.views[v].get(u) != payload:
+            self.views[v][u] = payload
+            self._touch(v)
+        return True
+
+    def evaluate(self, p: int, cache: dict | None = None) -> list[Action]:
+        """The actions enabled at ``p`` on its local view."""
+        ctx = Context(p, self.network, LocalView(p, self.views[p]), cache)
+        return [
+            a for a in self.protocol.node_actions(p, self.network) if a.enabled(ctx)
+        ]
+
+    def _refresh(self) -> None:
+        """Re-evaluate guards of the nodes whose view changed."""
+        fresh: dict[int, list[Action] | None] = {}
+        for p in self._stale:
+            cache: dict = {}
+            fresh[p] = self.evaluate(p, cache) or None
+            self._caches[p] = cache
+        enabled: dict[int, list[Action]] = {}
+        for node in self.network.nodes:
+            if node in fresh:
+                actions = fresh[node]
+                if actions is not None:
+                    enabled[node] = actions
+            else:
+                prev = self._enabled.get(node)
+                if prev is not None:
+                    enabled[node] = prev
+        self._enabled = enabled
+        self._stale.clear()
+
+
+class MessageSimulator(Simulator):
     """Drive a protocol over lossy bounded-capacity links.
 
-    Constructor parameters mirror :class:`~repro.runtime.simulator.
-    Simulator` (protocol, network, daemon, configuration, seed,
-    trace_level, monitors) plus the transport knobs:
+    Takes every :class:`~repro.runtime.simulator.Simulator` parameter
+    plus the transport knobs:
 
     capacity:
         Per-link channel bound (default 8, ``REPRO_CHANNEL_CAPACITY``);
@@ -111,13 +286,11 @@ class MessageSimulator:
         at send time (ambient link loss, distinct from the targeted
         :class:`~repro.chaos.DropMessage` fault).
 
-    ``engine`` is accepted for call-site compatibility: guard evaluation
-    here is per-node over local views (structurally the incremental
-    engine's dirty-set discipline — only nodes whose view changed are
-    re-evaluated).  ``"columnar"`` silently maps to this path so suite
-    runs under ``REPRO_ENGINE=columnar`` exercise the transport too;
-    ``validate_engine`` cross-checks every incremental view refresh
-    against a from-scratch recompute of all views.
+    The kernel is always the :class:`ViewKernel`: ``engine`` is
+    resolved and recorded like the shared-memory simulator's, and
+    ``"columnar"`` reads as ``"incremental"``, the view kernel's
+    repair discipline.  ``validate_engine`` cross-checks every view
+    refresh against a from-scratch recompute of every view.
     """
 
     def __init__(
@@ -137,63 +310,26 @@ class MessageSimulator:
         heartbeat: int | None = None,
         loss_rate: float = 0.0,
     ) -> None:
-        engine = settings.resolve("engine", engine)
-        self.engine = "incremental" if engine == "columnar" else engine
-        self.validate_engine = settings.resolve(
-            "validate_engine", validate_engine
-        )
-        self.protocol = protocol
-        self.network = network
-        self.daemon = daemon if daemon is not None else SynchronousDaemon()
         self.seed = seed
-        self.rng = Random(seed)
         self.capacity = settings.resolve("channel_capacity", capacity)
         self.model = settings.resolve("message_model", model)
         self.heartbeat = settings.resolve("heartbeat", heartbeat)
         self.loss_rate = check_loss_rate(loss_rate)
-
-        config = (
-            configuration
-            if configuration is not None
-            else protocol.initial_configuration(network)
+        super().__init__(
+            protocol,
+            network,
+            daemon,
+            configuration=configuration,
+            seed=seed,
+            trace_level=trace_level,
+            monitors=monitors,
+            engine=engine,
+            validate_engine=validate_engine,
         )
-        if len(config) != network.n:
-            raise ScheduleError(
-                f"configuration has {len(config)} states for a "
-                f"{network.n}-processor network"
-            )
-        self._steps = 0
-        self._moves = 0
-        self._action_counts: dict[str, int] = {}
-        self._monitors = list(monitors)
-        self._crashed: set[int] = set()
-        self._suppressed: set[int] = set()
-        self.trace = Trace(config, level=trace_level)
-        self.daemon.reset()
-
-        #: Ground truth: the real register state of every process.
-        self._truth: list[NodeState] = [config[p] for p in network.nodes]
-        #: Per-sender publication version (bumped on every truth change).
-        self._version: dict[int, int] = {p: 0 for p in network.nodes}
-        #: ``views[p]``: p's own state + last applied copy per neighbor.
-        self._views: dict[int, dict[int, NodeState]] = {}
-        #: ``applied[(u, v)]``: highest version of ``u`` applied at ``v``
-        #: (the transport's delivery-acknowledgement bookkeeping).
-        self._applied: dict[tuple[int, int], int] = {}
+        if self.engine == "columnar":
+            self.engine = "incremental"
         self.channels: dict[tuple[int, int], Channel] = {}
-        self._build_links(config)
-
-        #: Nodes whose view changed since their guards were evaluated.
-        self._stale: set[int] = set(network.nodes)
-        #: Per-node macro memo tables, dropped when the view changes.
-        self._caches: dict[int, dict] = {}
-        #: Nodes whose truth changed this step (must publish).
-        self._pending_publish: set[int] = set()
-        self._enabled: dict[int, list[Action]] = {}
-        self._refresh_enabled()
-        self._rounds = RoundCounter(self._enabled)
-        self._config_cache: Configuration | None = config
-
+        self._sync_channels()
         self.counters: dict[str, int] = {
             "sent": 0,
             "delivered": 0,
@@ -206,31 +342,22 @@ class MessageSimulator:
             "heartbeats": 0,
             "idle_steps": 0,
         }
-        for monitor in self._monitors:
-            monitor.on_start(config)
+
+    def _make_kernel(self, configuration: Configuration) -> ViewKernel:
+        return ViewKernel(self.protocol, self.network, configuration)
+
+    def _full_enabled_map(self) -> dict[int, list[Action]]:
+        """Every guard re-evaluated on every local view."""
+        full: dict[int, list[Action]] = {}
+        for node in self.network.nodes:
+            actions = self._kernel.evaluate(node)
+            if actions:
+                full[node] = actions
+        return full
 
     # ------------------------------------------------------------------
     # Link plumbing
     # ------------------------------------------------------------------
-    def _build_links(self, config: Configuration) -> None:
-        """(Re)create channels and seed views from ``config``.
-
-        Fresh links start *consistent*: the link-establishment handshake
-        exchanges current states, so a new neighbor's copy is the
-        sender's truth at creation time.
-        """
-        self.channels = {}
-        self._applied = {}
-        self._views = {
-            p: {p: config[p]} for p in self.network.nodes
-        }
-        for u in self.network.nodes:
-            for v in self.network.neighbors(u):
-                self.channels[(u, v)] = Channel(u, v, self.capacity)
-                self._applied[(u, v)] = self._version[u]
-                self._views[v][u] = config[u]
-        self._link_order = sorted(self.channels)
-
     def channel(self, u: int, v: int) -> Channel:
         """The channel of directed link ``(u, v)`` (fault events use this)."""
         try:
@@ -245,68 +372,27 @@ class MessageSimulator:
         """Total messages currently buffered across all channels."""
         return sum(len(ch) for ch in self.channels.values())
 
+    def view(self, p: int) -> dict[int, NodeState]:
+        """A copy of process ``p``'s local view (tests and tooling)."""
+        return dict(self._kernel.views[p])
+
     def _stale_links(self) -> list[tuple[int, int]]:
         """Links whose receiver has not applied the sender's latest version.
 
         Only live (non-crashed) senders count: a crashed process cannot
         retransmit, so its stale links cannot resolve by themselves.
         """
+        version = self._kernel.version
         return [
             (u, v)
-            for (u, v), applied in self._applied.items()
-            if applied < self._version[u] and u not in self._crashed
+            for (u, v), applied in self._kernel.applied.items()
+            if applied < version[u] and u not in self._crashed
         ]
 
     def _network_quiet(self) -> bool:
-        return (
-            not self._pending_publish
-            and all(len(ch) == 0 for ch in self.channels.values())
-            and not self._stale_links()
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection (Simulator-compatible surface)
-    # ------------------------------------------------------------------
-    @property
-    def configuration(self) -> Configuration:
-        """The ground-truth configuration ``γ`` (not any local view)."""
-        if self._config_cache is None:
-            self._config_cache = Configuration(tuple(self._truth))
-        return self._config_cache
-
-    def view(self, p: int) -> dict[int, NodeState]:
-        """A copy of process ``p``'s local view (tests and tooling)."""
-        return dict(self._views[p])
-
-    @property
-    def steps(self) -> int:
-        return self._steps
-
-    @property
-    def rounds(self) -> int:
-        return self._rounds.completed_rounds
-
-    @property
-    def moves(self) -> int:
-        return self._moves
-
-    @property
-    def action_counts(self) -> dict[str, int]:
-        return dict(self._action_counts)
-
-    def enabled(self) -> dict[int, list[Action]]:
-        return {p: list(actions) for p, actions in self._enabled.items()}
-
-    def enabled_nodes(self) -> frozenset[int]:
-        return frozenset(self._enabled)
-
-    @property
-    def crashed(self) -> frozenset[int]:
-        return frozenset(self._crashed)
-
-    @property
-    def suppressed(self) -> frozenset[int]:
-        return frozenset(self._suppressed)
+        return all(
+            len(ch) == 0 for ch in self.channels.values()
+        ) and not self._stale_links()
 
     def is_terminal(self) -> bool:
         """No enabled view-guard anywhere and nothing left in the network."""
@@ -325,217 +411,20 @@ class MessageSimulator:
             and bool(self._enabled)
         )
 
-    def _selectable(self) -> dict[int, list[Action]]:
-        if not self._crashed and not self._suppressed:
-            return self._enabled
-        excluded = self._crashed | self._suppressed
-        return {
-            p: actions
-            for p, actions in self._enabled.items()
-            if p not in excluded
-        }
-
-    def add_monitor(self, monitor: Monitor) -> None:
-        monitor.on_start(self.configuration)
-        self._monitors.append(monitor)
-
-    # ------------------------------------------------------------------
-    # Fault-event hooks (chaos campaigns)
-    # ------------------------------------------------------------------
-    def _mark_fault(self, kind: str, detail: str) -> None:
-        self.trace.mark_fault(self._steps, kind, detail)
-        if _telemetry.enabled:
-            reg = _telemetry.registry
-            reg.inc("sim.faults")
-            reg.inc(f"sim.faults.{kind}")
-
-    def _sync_views(self, updates: Mapping[int, NodeState]) -> None:
-        """Instantly propagate ``updates`` into every neighbor view.
-
-        Transient faults strike *memory* — in the message model that
-        includes the published register images, so corruption is visible
-        to neighbors exactly as in shared memory (this keeps the
-        conformance theorem valid across corruption events).  Stale
-        in-flight copies are left buffered; the version bump makes the
-        receiver discard them on arrival.
-        """
-        for p, state in updates.items():
-            self._truth[p] = state
-            self._version[p] += 1
-            self._views[p][p] = state
-            self._touch_view(p)
-            for q in self.network.neighbors(p):
-                self._views[q][p] = state
-                self._applied[(p, q)] = self._version[p]
-                self._touch_view(q)
-        self._config_cache = None
-
-    def _touch_view(self, p: int) -> None:
-        self._stale.add(p)
-        self._caches.pop(p, None)
-
-    def reset_configuration(self, configuration: Configuration) -> None:
-        """Replace every register (and its published image) — a transient fault."""
-        if len(configuration) != self.network.n:
-            raise ScheduleError(
-                f"configuration has {len(configuration)} states for a "
-                f"{self.network.n}-processor network"
-            )
-        updates = {
-            p: configuration[p]
-            for p in self.network.nodes
-            if configuration[p] != self._truth[p]
-        }
-        self._sync_views(updates)
-        self._refresh_enabled()
-        self._rounds.restart(frozenset(self._enabled))
-        for monitor in self._monitors:
-            monitor.on_start(self.configuration)
-        self._mark_fault("corrupt", "configuration replaced")
-
-    def perturb_configuration(self, updates: Mapping[int, NodeState]) -> set[int]:
-        """Overwrite a subset of registers (and their published images)."""
-        for p in updates:
-            if p not in self.network.nodes:
-                raise ScheduleError(f"perturbation targets unknown node {p}")
-        effective = {
-            p: state
-            for p, state in updates.items()
-            if state != self._truth[p]
-        }
-        if not effective:
-            return set()
-        self._sync_views(effective)
-        self._refresh_enabled()
-        self._rounds.restart(frozenset(self._enabled))
-        for monitor in self._monitors:
-            monitor.on_start(self.configuration)
-        self._mark_fault("corrupt", f"nodes {sorted(effective)}")
-        return set(effective)
-
-    def crash(self, nodes: Iterable[int]) -> frozenset[int]:
-        """Crash processes: they stop acting *and publishing*.
-
-        In-flight publications keep flowing and the crashed process's
-        mailbox still accepts deliveries, but nothing new leaves it —
-        the message-passing sharpening of the shared-memory crash.
-        """
-        nodes = frozenset(nodes)
-        unknown = nodes - set(self.network.nodes)
-        if unknown:
-            raise ScheduleError(f"cannot crash unknown nodes {sorted(unknown)}")
-        newly = nodes - self._crashed
-        if not newly:
-            return frozenset()
-        self._crashed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
-        self._mark_fault("crash", f"nodes {sorted(newly)}")
-        return newly
-
-    def recover(self, nodes: Iterable[int] | None = None) -> frozenset[int]:
-        wanted = self._crashed if nodes is None else frozenset(nodes)
-        back = frozenset(wanted) & self._crashed
-        if not back:
-            return frozenset()
-        self._crashed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
-        self._mark_fault("recover", f"nodes {sorted(back)}")
-        return back
-
-    def suppress(self, nodes: Iterable[int]) -> frozenset[int]:
-        """Suppress processes' moves (they still publish and receive)."""
-        nodes = frozenset(nodes)
-        unknown = nodes - set(self.network.nodes)
-        if unknown:
-            raise ScheduleError(
-                f"cannot suppress unknown nodes {sorted(unknown)}"
-            )
-        newly = nodes - self._suppressed
-        if not newly:
-            return frozenset()
-        self._suppressed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
-        self._mark_fault("suppress", f"nodes {sorted(newly)}")
-        return newly
-
-    def release(self, nodes: Iterable[int] | None = None) -> frozenset[int]:
-        wanted = self._suppressed if nodes is None else frozenset(nodes)
-        back = frozenset(wanted) & self._suppressed
-        if not back:
-            return frozenset()
-        self._suppressed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
-        self._mark_fault("release", f"nodes {sorted(back)}")
-        return back
-
     def apply_topology(self, network: Network) -> frozenset[int]:
         """Swap the network: channels churn with the links."""
-        if network.n != self.network.n:
-            raise ScheduleError(
-                f"topology change must preserve the processor set "
-                f"(have {self.network.n}, got {network.n})"
-            )
-        touched = self.network.changed_nodes(network)
-        old = self.network
-        updates: dict[int, NodeState] = {}
-        for p in touched:
-            state = self._truth[p]
-            fixed = self.protocol.sanitize_state(p, state, network)
-            if fixed != state:
-                updates[p] = fixed
-        # Removed links lose their channel, their view copy and their
-        # bookkeeping; new links handshake to a consistent copy.
-        for u in old.nodes:
-            for v in old.neighbors(u):
-                if not network.has_edge(u, v):
-                    del self.channels[(u, v)]
-                    del self._applied[(u, v)]
-                    self._views[v].pop(u, None)
-                    self._touch_view(v)
-        for u in network.nodes:
-            for v in network.neighbors(u):
-                if (u, v) not in self.channels:
-                    self.channels[(u, v)] = Channel(u, v, self.capacity)
-                    self._applied[(u, v)] = self._version[u]
-                    self._views[v][u] = self._truth[u]
-                    self._touch_view(v)
-        self._link_order = sorted(self.channels)
-        self.network = network
-        if updates:
-            self._sync_views(updates)
-        dirty = set(touched) | set(updates)
-        for p in dirty:
-            self._touch_view(p)
-        if dirty:
-            self._refresh_enabled()
-            self._rounds.restart(frozenset(self._enabled))
-        for monitor in self._monitors:
-            on_network = getattr(monitor, "on_network", None)
-            if on_network is not None:
-                on_network(network)
-            monitor.on_start(self.configuration)
-        self._mark_fault(
-            "topology",
-            f"{old.name} -> {network.name} (dirty {sorted(dirty)})",
-        )
-        return frozenset(dirty)
+        dirty = super().apply_topology(network)
+        self._sync_channels()
+        return dirty
 
-    def swap_daemon(self, daemon: Daemon) -> None:
-        self.daemon = daemon
-        daemon.reset()
-        self._mark_fault("swap-daemon", daemon.name)
+    def _sync_channels(self) -> None:
+        """One channel per link of the kernel; surviving links keep theirs."""
+        old = self.channels
+        self.channels = {
+            link: old[link] if link in old else Channel(*link, self.capacity)
+            for link in sorted(self._kernel.applied)
+        }
+        self._link_order = list(self.channels)
 
     # Link-fault surgery — called by the chaos events -----------------
     def drop_messages(self, u: int, v: int, count: int, rng: Random) -> int:
@@ -605,82 +494,27 @@ class MessageSimulator:
         """Delivery phase: hand over due messages in ascending link order."""
         now = self._steps
         rng = self._phase_rng(0)
+        receive = self._kernel.receive
         delivered = 0
         for link in self._link_order:
             ch = self.channels[link]
             if not ch.buffer:
                 continue
+            u, v = link
             for msg in ch.take_due(
                 now, model=self.model, rng=rng, hold_rate=_ASYNC_HOLD_RATE
             ):
                 delivered += 1
-                u, v = link
-                if msg.version > self._applied[link]:
-                    self._applied[link] = msg.version
-                    if self._views[v].get(u) != msg.payload:
-                        self._views[v][u] = msg.payload
-                        self._touch_view(v)
-                else:
+                if not receive(u, v, msg.version, msg.payload):
                     self.counters["stale_discarded"] += 1
         self.counters["delivered"] += delivered
         return delivered
-
-    def _refresh_enabled(self) -> None:
-        """Re-evaluate guards of the nodes whose view changed."""
-        if self._stale:
-            fresh: dict[int, list[Action] | None] = {}
-            for p in self._stale:
-                cache: dict = {}
-                ctx = Context(
-                    p, self.network, LocalView(p, self._views[p]), cache
-                )
-                actions = [
-                    a
-                    for a in self.protocol.node_actions(p, self.network)
-                    if a.enabled(ctx)
-                ]
-                fresh[p] = actions or None
-                self._caches[p] = cache
-            enabled: dict[int, list[Action]] = {}
-            for node in self.network.nodes:
-                if node in fresh:
-                    actions = fresh[node]
-                    if actions is not None:
-                        enabled[node] = actions
-                else:
-                    prev = self._enabled.get(node)
-                    if prev is not None:
-                        enabled[node] = prev
-            self._enabled = enabled
-            self._stale.clear()
-        if self.validate_engine:
-            self._check_against_full()
-
-    def _check_against_full(self) -> None:
-        from repro.errors import VerificationError
-
-        full: dict[int, list[Action]] = {}
-        for node in self.network.nodes:
-            ctx = Context(node, self.network, LocalView(node, self._views[node]))
-            actions = [
-                a
-                for a in self.protocol.node_actions(node, self.network)
-                if a.enabled(ctx)
-            ]
-            if actions:
-                full[node] = actions
-        if full != self._enabled or list(full) != list(self._enabled):
-            raise VerificationError(
-                f"view-incremental enabled map diverged from full view "
-                f"recompute at step {self._steps}: "
-                f"{ {p: [a.name for a in v] for p, v in self._enabled.items()} } "
-                f"vs { {p: [a.name for a in v] for p, v in full.items()} }"
-            )
 
     def _publish(self, changed: set[int]) -> None:
         """Publish phase: changed nodes always, heartbeat retries on top."""
         now = self._steps
         rng = self._phase_rng(1)
+        kernel = self._kernel
         publishers: set[int] = set(changed)
         if now % self.heartbeat == 0:
             for (u, v) in self._stale_links():
@@ -692,11 +526,11 @@ class MessageSimulator:
         for p in sorted(publishers):
             if p in self._crashed:
                 continue
-            version = self._version[p]
-            payload = self._truth[p]
+            version = kernel.version[p]
+            payload = kernel.truth[p]
             for q in self.network.neighbors(p):
                 link = (p, q)
-                if self._applied[link] >= version:
+                if kernel.applied[link] >= version:
                     continue  # the receiver already has this version
                 if self.loss_rate and rng.random() < self.loss_rate:
                     self.counters["dropped_loss"] += 1
@@ -719,66 +553,31 @@ class MessageSimulator:
 
         Returns ``None`` when nothing can ever advance again without an
         external event: no selectable process *and* a quiet network (no
-        in-flight, no pending publication, no retransmittable stale
-        link).  A step with deliveries but no selectable process is an
-        *idle step*: it is recorded with an empty selection and counts
-        against budgets like any other step.
+        in-flight, no retransmittable stale link).  A step with
+        deliveries but no selectable process is an *idle step*: it is
+        recorded with an empty selection and counts against budgets
+        like any other step.
         """
         before = self.configuration
         delivered = self._deliver()
-        self._refresh_enabled()
+        self._reload_enabled(set())
 
         selectable = self._selectable()
         if not selectable and self._network_quiet():
             return None
 
-        changed: set[int] = set()
         if selectable:
-            selection = self.daemon.select(
-                selectable,
-                network=self.network,
-                step=self._steps,
-                ages=self._rounds.ages,
-                rng=self.rng,
-            )
-            self._validate_selection(selection, selectable)
-            updates: dict[int, NodeState] = {}
-            for p, action in selection.items():
-                ctx = Context(
-                    p,
-                    self.network,
-                    LocalView(p, self._views[p]),
-                    self._caches.get(p),
-                )
-                state = action.execute(ctx)
-                if state != self._truth[p]:
-                    updates[p] = state
-            for p, state in updates.items():
-                self._truth[p] = state
-                self._version[p] += 1
-                self._views[p][p] = state
-                self._touch_view(p)
-            changed = set(updates)
-            if changed:
-                self._config_cache = None
+            selection = self._select(selectable)
+            changed = self._kernel.execute_selection(selection)
         else:
             selection = {}
+            changed = set()
             self.counters["idle_steps"] += 1
             if _telemetry.enabled:
                 _telemetry.registry.inc("messaging.idle_steps")
 
         self._publish(changed)
-        self._refresh_enabled()
-        rounds_completed = self._rounds.observe_step(
-            set(selection), frozenset(self._enabled)
-        )
-
-        self._steps += 1
-        self._moves += len(selection)
-        for action in selection.values():
-            self._action_counts[action.name] = (
-                self._action_counts.get(action.name, 0) + 1
-            )
+        self._reload_enabled(changed)
 
         if _telemetry.enabled:
             reg = _telemetry.registry
@@ -790,79 +589,4 @@ class MessageSimulator:
             reg.observe(
                 "messaging.max_channel_depth", max(depths) if depths else 0
             )
-            reg.inc("sim.steps")
-            reg.inc("sim.moves", len(selection))
-            reg.inc("sim.rounds", rounds_completed)
-            reg.observe("sim.selection_size", len(selection))
-            reg.observe("sim.enabled_set_size", len(self._enabled))
-
-        after = self.configuration
-        record = StepRecord(
-            index=self._steps - 1,
-            selection={p: a.name for p, a in selection.items()},
-            rounds_completed=rounds_completed,
-            after=after,
-        )
-        self.trace.append(record)
-        for monitor in self._monitors:
-            monitor.on_step(before, record, after)
-        return record
-
-    def run(
-        self,
-        *,
-        until: Callable[[Configuration], bool] | None = None,
-        max_steps: int = DEFAULT_MAX_STEPS,
-        max_rounds: int | None = None,
-    ) -> RunResult:
-        """Run until the predicate holds, the system quiesces, or budget."""
-        satisfied = False
-        terminated = False
-        while True:
-            if until is not None and until(self.configuration):
-                satisfied = True
-                break
-            if self._steps >= max_steps or (
-                max_rounds is not None and self.rounds >= max_rounds
-            ):
-                break
-            if self.step() is None:
-                terminated = self.is_terminal()
-                break
-        return RunResult(
-            final=self.configuration,
-            steps=self._steps,
-            rounds=self.rounds,
-            moves=self._moves,
-            terminated=terminated,
-            satisfied=satisfied,
-            trace=self.trace if self.trace.level != "none" else None,
-            action_counts=dict(self._action_counts),
-        )
-
-    def _validate_selection(
-        self,
-        selection: dict[int, Action],
-        selectable: Mapping[int, Sequence[Action]],
-    ) -> None:
-        if not selection:
-            raise ScheduleError("daemon returned an empty selection")
-        for p, action in selection.items():
-            enabled_here: Sequence[Action] | None = selectable.get(p)
-            if enabled_here is None:
-                if p in self._crashed:
-                    raise ScheduleError(
-                        f"daemon selected crashed processor {p}"
-                    )
-                if p in self._suppressed:
-                    raise ScheduleError(
-                        f"daemon selected suppressed processor {p}"
-                    )
-                raise ScheduleError(
-                    f"daemon selected disabled processor {p}"
-                )
-            if action not in enabled_here:
-                raise ScheduleError(
-                    f"daemon selected action {action.name!r} not enabled at "
-                    f"processor {p}"
-                )
+        return self._finish_step(selection, changed, before, self.configuration)

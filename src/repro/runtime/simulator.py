@@ -80,6 +80,14 @@ class RunResult:
 class Simulator:
     """Drive a protocol on a network under a daemon.
 
+    Every engine is a *kernel* behind one interface — ``load``,
+    ``materialize``, ``enabled_map``, ``execute_selection``,
+    ``apply_updates`` and ``rebuild`` (topology change) — and the
+    simulator is the one step loop around it: daemon selection, round
+    accounting, counters, telemetry, trace and monitors.
+    :meth:`_make_kernel` is the one place an engine name becomes a
+    kernel.
+
     Parameters
     ----------
     protocol, network:
@@ -88,7 +96,7 @@ class Simulator:
         Scheduler; defaults to :class:`SynchronousDaemon`.
     configuration:
         Starting configuration; defaults to the protocol's clean initial
-        configuration.
+        configuration.  It must hold one state per processor.
     seed:
         Seed for the daemon's RNG — runs are fully reproducible.
     trace_level:
@@ -99,13 +107,14 @@ class Simulator:
         ``"incremental"`` (default) re-evaluates guards only on the
         1-hop neighborhood of the nodes a step actually rewrote;
         ``"full"`` re-evaluates every guard at every node after every
-        step (the pre-optimization behavior, kept for benchmarking and
-        cross-validation); ``"columnar"`` stores the configuration as
-        flat per-variable arrays and runs compiled mask kernels (see
-        :mod:`repro.columnar`), falling back to a per-node object
-        bridge for protocols without a compiled kernel.  The
-        ``REPRO_ENGINE`` environment variable overrides the default
-        when the parameter is not given.
+        step (the reference, kept for benchmarking and
+        cross-validation) — both are the object kernels of
+        :mod:`repro.columnar.bridge`; ``"columnar"`` stores the
+        configuration as flat per-variable arrays and runs compiled
+        mask kernels (see :mod:`repro.columnar`), falling back to the
+        incremental object kernel for protocols without a compiled
+        kernel.  The ``REPRO_ENGINE`` environment variable overrides
+        the default when the parameter is not given.
 
         Under the columnar engine object configurations are
         materialized lazily: :attr:`configuration` always works, but
@@ -113,9 +122,9 @@ class Simulator:
         unless something needs the object view (monitors attached,
         ``trace_level="configurations"``, or lockstep validation).
     validate_engine:
-        When true, every incremental/columnar update is checked in
-        lockstep against a from-scratch recompute on the object path —
-        for the columnar engine both the enabled map and the successor
+        When true, every kernel update is checked in lockstep against a
+        from-scratch recompute on the object path — for compiled
+        columnar kernels both the enabled map and the successor
         configuration are compared — and a mismatch raises
         :class:`~repro.errors.VerificationError`.  Defaults to the
         ``REPRO_ENGINE_VALIDATE`` environment variable (a boolean, see
@@ -135,8 +144,7 @@ class Simulator:
         engine: str | None = None,
         validate_engine: bool | None = None,
     ) -> None:
-        engine = settings.resolve("engine", engine)
-        self.engine = engine
+        self.engine = settings.resolve("engine", engine)
         self.validate_engine = settings.resolve(
             "validate_engine", validate_engine
         )
@@ -149,6 +157,7 @@ class Simulator:
             if configuration is not None
             else protocol.initial_configuration(network)
         )
+        self._check_size(config)
         self._steps = 0
         self._moves = 0
         self._action_counts: dict[str, int] = {}
@@ -167,26 +176,35 @@ class Simulator:
         self.trace = Trace(config, level=trace_level)
 
         self.daemon.reset()
-        self._eval_cache: dict = {}
-        if engine == "columnar":
-            from repro.columnar import ColumnarRuntime
-
-            self._columnar: ColumnarRuntime | None = ColumnarRuntime(
-                protocol, network, config
-            )
-            # The column block owns the state; ``self.configuration``
-            # materializes object views on demand.
-            self._configuration: Configuration | None = None
-            self._enabled = self._columnar.enabled_map()
-        else:
-            self._columnar = None
-            self._configuration = config
-            self._enabled = protocol.enabled_map(
-                config, network, cache=self._eval_cache
-            )
+        self._kernel = self._make_kernel(config)
+        self._enabled = self._kernel.enabled_map()
         self._rounds = RoundCounter(self._enabled)
         for monitor in self._monitors:
             monitor.on_start(config)
+
+    def _make_kernel(self, configuration: Configuration):
+        """The kernel that owns the state and the enabled map."""
+        if self.engine == "columnar":
+            from repro.columnar.engine import ColumnarRuntime
+
+            return ColumnarRuntime(self.protocol, self.network, configuration)
+        from repro.columnar import bridge
+
+        kind = (
+            bridge.ObjectBridgeKernel
+            if self.engine == "incremental"
+            else bridge.FullRecomputeKernel
+        )
+        kernel = kind(self.protocol, self.network)
+        kernel.load(configuration)
+        return kernel
+
+    def _check_size(self, configuration: Configuration) -> None:
+        if len(configuration) != self.network.n:
+            raise ScheduleError(
+                f"configuration has {len(configuration)} states for a "
+                f"{self.network.n}-processor network"
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -199,9 +217,7 @@ class Simulator:
         the column block — cached until the next write, so repeated
         reads (and a fully no-op step) return the same object.
         """
-        if self._columnar is not None:
-            return self._columnar.configuration()
-        return self._configuration
+        return self._kernel.materialize()
 
     @property
     def steps(self) -> int:
@@ -269,6 +285,9 @@ class Simulator:
         monitor.on_start(self.configuration)
         self._monitors.append(monitor)
 
+    # ------------------------------------------------------------------
+    # Fault-event hooks (chaos campaigns)
+    # ------------------------------------------------------------------
     def reset_configuration(self, configuration: Configuration) -> None:
         """Replace the current configuration in place — a transient fault.
 
@@ -280,45 +299,18 @@ class Simulator:
         monitor is re-started so specifications are judged from the
         post-fault state.
         """
-        if len(configuration) != self.network.n:
-            raise ScheduleError(
-                f"configuration has {len(configuration)} states for a "
-                f"{self.network.n}-processor network"
-            )
+        self._check_size(configuration)
         # A fault can rewrite any subset of the memory, so the dirty-set
-        # argument does not apply: recompute the enabled map from scratch.
-        if self._columnar is not None:
-            self._columnar.load(configuration)
-            self._enabled = self._columnar.enabled_map()
-            if self.validate_engine:
-                self._check_against_full(set(self.network.nodes))
-        else:
-            self._configuration = configuration
-            self._eval_cache = {}
-            self._enabled = self.protocol.enabled_map(
-                configuration, self.network, cache=self._eval_cache
-            )
-        self._rounds.restart(frozenset(self._enabled))
-        for monitor in self._monitors:
-            monitor.on_start(configuration)
-        self._mark_fault("corrupt", "configuration replaced")
-
-    # ------------------------------------------------------------------
-    # Fault-event hooks (chaos campaigns)
-    # ------------------------------------------------------------------
-    def _mark_fault(self, kind: str, detail: str) -> None:
-        """Record a fault event in the trace and (if on) telemetry."""
-        self.trace.mark_fault(self._steps, kind, detail)
-        if _telemetry.enabled:
-            reg = _telemetry.registry
-            reg.inc("sim.faults")
-            reg.inc(f"sim.faults.{kind}")
+        # argument does not apply: the kernel reloads from scratch.
+        self._kernel.load(configuration)
+        self._reload_enabled(set(self.network.nodes))
+        self._restart("configuration replaced")
 
     def perturb_configuration(self, updates: Mapping[int, NodeState]) -> set[int]:
         """Overwrite a *subset* of processor memories — a targeted fault.
 
-        The incremental-engine counterpart of :meth:`reset_configuration`:
-        only the touched nodes form the dirty set, so the enabled map is
+        The targeted counterpart of :meth:`reset_configuration`: only
+        the touched nodes form the dirty set, so the enabled map is
         repaired on ``U ∪ N(U)`` instead of recomputed from scratch.
         Like any transient fault it restarts the round in progress and
         every monitor.  Returns the set of nodes whose state actually
@@ -335,21 +327,25 @@ class Simulator:
         }
         if not effective:
             return set()
-        if self._columnar is not None:
-            self._columnar.apply_updates(effective)
-            self._enabled = self._columnar.enabled_map()
-            if self.validate_engine:
-                self._check_against_full(set(effective))
-            after = self.configuration
-        else:
-            after = current.replace(effective)
-            self._configuration = after
-            self._refresh_enabled(set(effective))
+        self._kernel.apply_updates(effective)
+        self._reload_enabled(set(effective))
+        self._restart(f"nodes {sorted(effective)}")
+        return set(effective)
+
+    def _restart(self, detail: str) -> None:
+        """After a corruption: restart the round and every monitor."""
         self._rounds.restart(frozenset(self._enabled))
         for monitor in self._monitors:
-            monitor.on_start(after)
-        self._mark_fault("corrupt", f"nodes {sorted(effective)}")
-        return set(effective)
+            monitor.on_start(self.configuration)
+        self._mark_fault("corrupt", detail)
+
+    def _mark_fault(self, kind: str, detail: str) -> None:
+        """Record a fault event in the trace and (if on) telemetry."""
+        self.trace.mark_fault(self._steps, kind, detail)
+        if _telemetry.enabled:
+            reg = _telemetry.registry
+            reg.inc("sim.faults")
+            reg.inc(f"sim.faults.{kind}")
 
     def crash(self, nodes: Iterable[int]) -> frozenset[int]:
         """Crash processors: they stop executing but their memory persists.
@@ -358,8 +354,9 @@ class Simulator:
         round accounting's "continuously enabled" bookkeeping (a crash
         plays the disable action); neighbors keep reading their frozen
         state — the locally-shared-memory model has no way to make
-        memory disappear.  Monitors are *not* restarted: the
-        configuration is unchanged.  Returns the newly crashed set.
+        memory disappear.  Over the message transport a crashed
+        processor also stops publishing.  Monitors are *not* restarted:
+        the configuration is unchanged.  Returns the newly crashed set.
         """
         nodes = frozenset(nodes)
         unknown = nodes - set(self.network.nodes)
@@ -453,9 +450,10 @@ class Simulator:
         processors do not).  States whose domains depend on the neighbor
         set are re-domained via the protocol's
         :meth:`~repro.runtime.protocol.Protocol.sanitize_state`; the
-        incremental engine is repaired with the changed endpoints (plus
-        sanitized nodes) as the dirty set — an edge flip dirties exactly
-        its two endpoints.  Monitors are told the new topology and
+        kernel is rebuilt for the new topology (the object kernels
+        repair with the changed endpoints as the dirty set — an edge
+        flip dirties exactly its two endpoints; a compiled kernel is
+        recompiled).  Monitors are told the new topology and
         restarted.  Returns the dirty set used.
         """
         if network.n != self.network.n:
@@ -474,22 +472,10 @@ class Simulator:
                 updates[p] = fixed
         dirty = set(touched) | set(updates)
         self.network = network
-        if self._columnar is not None:
-            # The compiled kernel's CSR index is per-network: recompile.
-            self._columnar.rebuild(
-                network, current.replace(updates) if updates else current
-            )
-            self._enabled = self._columnar.enabled_map()
-            if self.validate_engine:
-                self._check_against_full(dirty)
-            if dirty:
-                self._rounds.restart(frozenset(self._enabled))
-        else:
-            if updates:
-                self._configuration = current.replace(updates)
-            if dirty:
-                self._refresh_enabled(dirty)
-                self._rounds.restart(frozenset(self._enabled))
+        self._kernel.rebuild(network, current.replace(updates))
+        self._reload_enabled(dirty)
+        if dirty:
+            self._rounds.restart(frozenset(self._enabled))
         for monitor in self._monitors:
             on_network = getattr(monitor, "on_network", None)
             if on_network is not None:
@@ -507,26 +493,6 @@ class Simulator:
         daemon.reset()
         self._mark_fault("swap-daemon", daemon.name)
 
-    def _refresh_enabled(self, dirty: set[int]) -> None:
-        """Repair the enabled map after ``dirty`` nodes changed state/views."""
-        if self.engine == "incremental":
-            cache: dict = {}
-            self._enabled = self.protocol.enabled_map_incremental(
-                self._enabled,
-                self._configuration,
-                self.network,
-                dirty,
-                cache=cache,
-            )
-            self._eval_cache = cache
-            if self.validate_engine:
-                self._check_against_full(dirty)
-        else:
-            self._eval_cache = {}
-            self._enabled = self.protocol.enabled_map(
-                self._configuration, self.network, cache=self._eval_cache
-            )
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -540,7 +506,35 @@ class Simulator:
         selectable = self._selectable()
         if not selectable:
             return None
+        selection = self._select(selectable)
+        kernel = self._kernel
+        # Materialize object views only when something consumes them —
+        # monitors, configuration-level traces, or the lockstep
+        # validator — unless they cost nothing.
+        need_objects = (
+            not kernel.lazy_objects
+            or bool(self._monitors)
+            or self.trace.level == "configurations"
+            or self.validate_engine
+        )
+        before = kernel.materialize() if need_objects else None
+        # No-op writes are excluded from the dirty set; a step without
+        # one leaves the enabled map valid.
+        dirty = kernel.execute_selection(selection)
+        if dirty:
+            self._reload_enabled(dirty)
+        after = kernel.materialize() if need_objects else None
+        # Successor validation only applies to kernels that opt in: the
+        # object kernels *are* the object path, and compiled kernels
+        # with object statements (which protocols may make impure) must
+        # not re-execute them — that would itself perturb application
+        # state.
+        if self.validate_engine and kernel.validates_successor:
+            self._check_successor(before, selection, after, dirty)
+        return self._finish_step(selection, dirty, before, after)
 
+    def _select(self, selectable: Mapping[int, list[Action]]) -> dict[int, Action]:
+        """Ask the daemon for a selection and check it."""
         selection = self.daemon.select(
             selectable,
             network=self.network,
@@ -549,56 +543,16 @@ class Simulator:
             rng=self.rng,
         )
         self._validate_selection(selection, selectable)
+        return selection
 
-        if self._columnar is not None:
-            # Materialize object views only when something consumes them
-            # — monitors, configuration-level traces, or the lockstep
-            # validator.  Otherwise the step stays entirely columnar.
-            need_objects = (
-                bool(self._monitors)
-                or self.trace.level == "configurations"
-                or self.validate_engine
-            )
-            before = self._columnar.configuration() if need_objects else None
-            dirty = self._columnar.execute_selection(selection)
-            if dirty:
-                self._enabled = self._columnar.enabled_map()
-                if self.validate_engine:
-                    self._check_against_full(dirty)
-            after = self._columnar.configuration() if need_objects else None
-            # Successor validation only applies to kernels that opt in:
-            # the object bridge *is* the object path, and kernels with
-            # object statements (which protocols may make impure) must
-            # not re-execute them — that would itself perturb
-            # application state.
-            if self.validate_engine and self._columnar.validates_successor:
-                self._check_columnar_successor(before, selection, after, dirty)
-        else:
-            before = self._configuration
-            # Statements execute against ``before`` — the same
-            # configuration the current enabled map was evaluated on — so
-            # they share its evaluation cache.  No-op writes are excluded
-            # from the dirty set by execute_selection.
-            after, dirty = self.protocol.execute_selection(
-                before, self.network, selection, cache=self._eval_cache
-            )
-
-            self._configuration = after
-            if not dirty:
-                pass  # configuration unchanged: enabled map + cache stay valid
-            elif self.engine == "incremental":
-                cache: dict = {}
-                self._enabled = self.protocol.enabled_map_incremental(
-                    self._enabled, after, self.network, dirty, cache=cache
-                )
-                self._eval_cache = cache
-                if self.validate_engine:
-                    self._check_against_full(dirty)
-            else:
-                self._eval_cache = {}
-                self._enabled = self.protocol.enabled_map(
-                    after, self.network, cache=self._eval_cache
-                )
+    def _finish_step(
+        self,
+        selection: Mapping[int, Action],
+        dirty: set[int],
+        before: Configuration | None,
+        after: Configuration | None,
+    ) -> StepRecord:
+        """The bookkeeping every step ends with; returns its record."""
         rounds_completed = self._rounds.observe_step(
             set(selection), frozenset(self._enabled)
         )
@@ -650,10 +604,9 @@ class Simulator:
             if until is not None and until(self.configuration):
                 satisfied = True
                 break
-            if not self._selectable():
-                # Terminal, or stalled with every enabled processor
-                # crashed — either way the run cannot advance by itself.
-                terminated = not self._enabled
+            if self.is_terminal() or self.is_stalled():
+                # Either way the run cannot advance by itself.
+                terminated = self.is_terminal()
                 break
             if self._steps >= max_steps or (
                 max_rounds is not None and self.rounds >= max_rounds
@@ -707,8 +660,18 @@ class Simulator:
                     f"processor {p}"
                 )
 
+    def _reload_enabled(self, dirty: set[int]) -> None:
+        """Take the kernel's enabled map after ``dirty`` nodes changed."""
+        self._enabled = self._kernel.enabled_map()
+        if self.validate_engine:
+            self._check_against_full(dirty)
+
+    def _full_enabled_map(self) -> dict[int, list[Action]]:
+        """The lockstep reference: every guard evaluated from scratch."""
+        return self.protocol.enabled_map(self.configuration, self.network)
+
     def _check_against_full(self, dirty: set[int]) -> None:
-        full = self.protocol.enabled_map(self.configuration, self.network)
+        full = self._full_enabled_map()
         if full != self._enabled or list(full) != list(self._enabled):
             raise VerificationError(
                 f"{self.engine} enabled map diverged from full recompute "
@@ -717,16 +680,16 @@ class Simulator:
                 f"full={ {p: [a.name for a in v] for p, v in full.items()} }"
             )
 
-    def _check_columnar_successor(
+    def _check_successor(
         self,
         before: Configuration,
         selection: dict[int, Action],
         after: Configuration,
         dirty: set[int],
     ) -> None:
-        """Lockstep-check one columnar step against the object path.
+        """Lockstep-check one compiled-kernel step against the object path.
 
-        The object engine executes the same selection on the same
+        The object path executes the same selection on the same
         pre-step configuration; successor and dirty set must agree
         bit for bit.
         """

@@ -10,11 +10,18 @@ regressions.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
-from repro.chaos import load_repro, replay_repro
+from repro.chaos import (
+    load_repro,
+    network_from_adjacency,
+    replay_repro,
+    replay_tape,
+)
+from repro.errors import MessagingError
 
 from tests.mutants.protocols import MUTANT_FACTORIES, REGISTRY
 
@@ -50,3 +57,17 @@ def test_replay_deterministic_with_engine_validation(path: Path) -> None:
     first = replay_repro(repro, REGISTRY, validate_engine=True)
     second = replay_repro(repro, REGISTRY, validate_engine=True)
     assert first == second == repro.violation
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "oracle"])
+def test_misspelled_transport_is_rejected(strict: bool) -> None:
+    """A corpus file's transport is outside input: no silent fallback."""
+    repro = dataclasses.replace(load_repro(CORPUS[0]), transport="mesage")
+    network = network_from_adjacency(repro.adjacency, repro.topology)
+    protocol = REGISTRY[repro.protocol](network, repro.root)
+    with pytest.raises(MessagingError, match="unknown transport 'mesage'"):
+        replay_tape(
+            protocol, network, repro.tape, strict=strict, transport=repro.transport
+        )
+    with pytest.raises(MessagingError, match="unknown transport 'mesage'"):
+        replay_repro(repro, REGISTRY)

@@ -212,7 +212,7 @@ class TestBridgeFallback:
         )
         assert runtime.compiled is False
         assert runtime.enabled_map() == protocol.enabled_map(
-            runtime.configuration(), net
+            runtime.materialize(), net
         )
 
     @pytest.mark.parametrize("kind", ["snap-pif", "spanning-tree"])

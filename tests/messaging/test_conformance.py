@@ -164,14 +164,14 @@ class TestAsyncConformance:
             record = original_step(self)
             if self._steps == 8:
                 # Plant a state node 0 never published into 1's view.
-                forged = self._truth[0]
+                forged = self._kernel.truth[0]
                 for candidate in protocol.random_configuration(
                     network, __import__("random").Random(99)
                 ).states:
-                    if candidate not in (self._truth[0],):
+                    if candidate not in (self._kernel.truth[0],):
                         forged = candidate
                         break
-                self._views[1][0] = forged
+                self._kernel.views[1][0] = forged
             return record
 
         try:

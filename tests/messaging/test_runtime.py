@@ -9,7 +9,12 @@ import pytest
 from repro.chaos import RemoveLink
 from repro.core.monitor import PifCycleMonitor
 from repro.core.pif import SnapPif
-from repro.errors import MessagingError, ProtocolError, ScheduleError
+from repro.errors import (
+    MessagingError,
+    ProtocolError,
+    ScheduleError,
+    SimulationLimitError,
+)
 from repro.graphs import line, ring, star
 from repro.messaging import LocalView, MessageSimulator
 from repro.runtime.daemons import CentralDaemon, SynchronousDaemon
@@ -98,6 +103,12 @@ class TestStepMachinery:
         sim = make_sim(validate_engine=True)
         sim.run(max_steps=60)
         assert sim.steps > 0
+
+    def test_budget_raises_when_asked(self) -> None:
+        sim = make_sim()
+        with pytest.raises(SimulationLimitError, match="after 3 steps"):
+            sim.run(max_steps=3, raise_on_limit=True)
+        assert sim.steps == 3
 
     def test_columnar_engine_maps_to_incremental(self) -> None:
         sim = make_sim(engine="columnar")

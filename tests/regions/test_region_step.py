@@ -92,7 +92,7 @@ def _step_region_wise(sim: Simulator, order) -> list[int]:
     runtime's current kernel is looked up per step, so a topology
     rebuild is picked up.
     """
-    runtime = sim._columnar
+    runtime = sim._kernel
     counts: list[int] = []
 
     def execute_selection(selection):
@@ -202,9 +202,9 @@ class TestComposition:
         sim = Simulator(protocol, net)
         assert sim.engine == "columnar"
         assert sim.validate_engine is True
-        assert sim._columnar is not None
-        assert sim._columnar.backend == "pure"
-        assert sim._columnar.kernel.backend == "pure"
+        assert sim._kernel is not None
+        assert sim._kernel.backend == "pure"
+        assert sim._kernel.kernel.backend == "pure"
 
     def test_serial_default_builds_no_stepper(self, monkeypatch) -> None:
         # The columnar runtime has one stepping path: each step is one
@@ -218,7 +218,7 @@ class TestComposition:
             configuration=protocol.random_configuration(net, Random(2)),
             engine="columnar",
         )
-        kernel = sim._columnar.kernel
+        kernel = sim._kernel.kernel
         calls: list[int] = []
         execute = kernel.execute_selection
 
@@ -246,9 +246,9 @@ class TestComposition:
             engine="columnar",
         )
         counts = _step_region_wise(sim, lambda regions: regions[::-1])
-        before = sim._columnar.kernel
+        before = sim._kernel.kernel
         sim.apply_topology(by_name("random-tree", 10))
-        after = sim._columnar.kernel
+        after = sim._kernel.kernel
         assert after is not before
         assert after.network == sim.network
         for _ in range(20):

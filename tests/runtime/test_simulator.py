@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
+from repro.core.pif import SnapPif
 from repro.errors import ScheduleError, SimulationLimitError
+from repro.graphs import ring
+from repro.messaging import MessageSimulator
 from repro.runtime.daemons import CentralDaemon, Daemon, ReplayDaemon, SynchronousDaemon
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
@@ -183,3 +188,18 @@ class TestValidation:
         sim = Simulator(UnisonProtocol(), net, Lazy())
         with pytest.raises(ScheduleError, match="empty selection"):
             sim.step()
+
+
+ENGINES = ("incremental", "full", "columnar")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(Simulator, engine=engine) for engine in ENGINES] + [MessageSimulator],
+    ids=[*ENGINES, "message"],
+)
+def test_configuration_of_the_wrong_size_is_rejected(make) -> None:
+    net = ring(6)
+    eight = SnapPif.for_network(ring(8)).initial_configuration(ring(8))
+    with pytest.raises(ScheduleError, match="8 states for a 6-processor network"):
+        make(SnapPif.for_network(net), net, configuration=eight)
