@@ -16,13 +16,14 @@ Payload shapes
     ``{"transport", "capacity", "model", "heartbeat", "loss_rate"}`` —
     one campaign grid cell; returns the
     :class:`~repro.chaos.campaign.ChaosRun`.
-``liveness_shard`` / ``convergence_shard``
-    ``{"factory", "network", "root", "config_slice", ...check kwargs}``
-    — one contiguous enumeration shard; returns the shard's
+``check_shard``
+    ``{"check", "factory", "network", "root", "config_slice", ...check
+    kwargs}`` — one contiguous enumeration shard of a synchronous sweep;
+    returns the shard's
     :class:`~repro.verification.model_check.ModelCheckResult`.
 
-The shard workers call back into the public check functions with
-``config_slice`` set, which forces the serial single-sweep path — a
+The shard worker calls back into the public check function it is given
+with ``config_slice`` set, which forces the serial single-sweep path — a
 worker never re-fans-out, even when ``REPRO_JOBS`` is inherited from
 the parent environment.
 """
@@ -36,8 +37,7 @@ from repro.runtime.network import Network
 __all__ = [
     "campaign_cell",
     "shrink_cell",
-    "liveness_shard",
-    "convergence_shard",
+    "check_shard",
 ]
 
 #: Worker-local protocol cache: ``(factory, network) -> protocol``.
@@ -144,37 +144,16 @@ def shrink_cell(payload: dict):
     return shrink_run(protocol, run, max_tests=payload["max_tests"])
 
 
-def liveness_shard(payload: dict):
-    """Run one contiguous shard of the synchronous cycle-liveness sweep."""
-    from repro.verification.model_check import (
-        check_cycle_liveness_synchronous,
-    )
-
-    network = payload["network"]
-    root = payload["root"]
-    return check_cycle_liveness_synchronous(
+def check_shard(payload: dict):
+    """Run one contiguous enumeration shard of a synchronous sweep."""
+    options = dict(payload)
+    check = options.pop("check")
+    network = options.pop("network")
+    root = options.pop("root")
+    factory = options.pop("factory")
+    return check(
         network,
         root,
-        protocol=_protocol_for(payload.get("factory"), network, root),
-        config_slice=payload["config_slice"],
-        memo=payload["memo"],
-        memo_capacity=payload["memo_capacity"],
-        validate_memo=payload["validate_memo"],
-    )
-
-
-def convergence_shard(payload: dict):
-    """Run one contiguous shard of the synchronous convergence sweep."""
-    from repro.verification.convergence import check_convergence_synchronous
-
-    network = payload["network"]
-    root = payload["root"]
-    return check_convergence_synchronous(
-        network,
-        root,
-        protocol=_protocol_for(payload.get("factory"), network, root),
-        config_slice=payload["config_slice"],
-        stride=payload["stride"],
-        memo=payload["memo"],
-        validate_memo=payload["validate_memo"],
+        protocol=_protocol_for(factory, network, root),
+        **options,
     )

@@ -34,10 +34,14 @@ running every initiation configuration to cycle completion within the
 Theorem 4 + Theorem 3 budget.  Liveness under weakly fair asynchronous
 daemons is exercised statistically by the randomized experiments (E6).
 
-**The memo engine.**  Initiation configurations share most of their
-explored cores, so after the incremental enabled maps of PR 1 the hot
-path is successor computation.  :class:`ModelCheckMemo` removes the
-redundancy at three layers, all exact (see docs/API.md and DESIGN.md §7):
+**The evaluators.**  Every checker runs one loop over an evaluator:
+``intern``, ``enabled_map``, ``successor_enabled_map``, ``transition``,
+``advance`` and ``fill_stats``.  :class:`DirectEvaluator` answers them
+by plain protocol evaluation (``memo=False``, and the reference the
+memo is validated against).  Initiation configurations share most of
+their explored cores, so the hot path is successor computation, and
+:class:`ModelCheckMemo` removes the redundancy at three layers, all
+exact (see docs/API.md and DESIGN.md §7):
 
 1. an interned-configuration table — equal configurations become
    pointer-identical, so memo keys and visited-set lookups hash once and
@@ -55,14 +59,14 @@ redundancy at three layers, all exact (see docs/API.md and DESIGN.md §7):
    visited set already expands every tagged state once, so no
    ``(configuration, selection)`` pair is ever computed twice.
 
-``REPRO_MODELCHECK_MEMO=0`` disables the engine;
+``REPRO_MODELCHECK_MEMO=0`` selects the direct evaluator;
 ``REPRO_MODELCHECK_VALIDATE=1`` cross-checks every memoized result
-against the direct path (mirroring ``REPRO_ENGINE_VALIDATE``).
+against direct evaluation (mirroring ``REPRO_ENGINE_VALIDATE``).
 
 The state space grows as the product of per-node domains; the functions
 take explicit budgets, terminate the whole enumeration the moment a
-budget is exhausted, and report exactly what was covered
-(:attr:`ModelCheckResult.truncation`).
+budget or the counterexample limit is reached, and report exactly what
+was covered (:attr:`ModelCheckResult.truncation`).
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ __all__ = [
     "ModelCheckResult",
     "ModelCheckStats",
     "ModelCheckMemo",
+    "DirectEvaluator",
     "DEFAULT_MEMO_CAPACITY",
     "DEFAULT_SHARDS",
     "node_state_domain",
@@ -104,7 +109,7 @@ __all__ = [
     "check_snap_safety",
     "check_cycle_liveness_synchronous",
     "synchronous_selection",
-    "run_synchronous_memo",
+    "run_synchronous",
     "replay_counterexample",
 ]
 
@@ -125,6 +130,10 @@ DEFAULT_VIEW_CAPACITY = 1_048_576
 #: bit-identical shard results and therefore bit-identical merged
 #: results (see DESIGN.md §9).
 DEFAULT_SHARDS = 8
+
+#: Every sweep stops once it holds this many counterexamples (snap
+#: safety under ``stop_at_first`` stops at the first).
+_COUNTEREXAMPLE_LIMIT = 5
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +512,9 @@ class ModelCheckMemo:
     a node's 1-hop view of one), so entries stay valid for the lifetime
     of the ``(protocol, network)`` pair regardless of the path that
     reached a configuration — the soundness argument is spelled out in
-    DESIGN.md §7.  ``validate=True`` re-derives every memoized answer
-    through the direct path and raises
+    DESIGN.md §7.  ``validate=True`` re-derives every answer (enabled
+    maps, transitions with their join parents, wave-tag advances)
+    through :class:`DirectEvaluator` and raises
     :class:`~repro.errors.VerificationError` on any divergence.
 
     ``capacity=None`` computes transitions without storing them, for
@@ -524,6 +534,8 @@ class ModelCheckMemo:
         self.protocol = protocol
         self.network = network
         self.validate = validate
+        #: The reference every validated answer is compared with.
+        self._direct = DirectEvaluator(protocol, network)
         self.interner = InternTable()
         #: ``(configuration, selection signature) -> (successor, dirty, joins)``
         self.transitions = None if capacity is None else _LruCache(capacity)
@@ -558,6 +570,10 @@ class ModelCheckMemo:
         self.view_misses = _telemetry.Counter("modelcheck.view.misses")
         self.view_evictions = _telemetry.Counter("modelcheck.view.evictions")
         self._view_entries = 0
+
+    def intern(self, configuration: Configuration) -> Configuration:
+        """The canonical object equal to ``configuration``."""
+        return self.interner.intern(configuration)
 
     # -- local views ----------------------------------------------------
     def _view(self, configuration: Configuration, node: int) -> tuple:
@@ -733,27 +749,36 @@ class ModelCheckMemo:
         """
         key = (tag, step, joins_key)
         cached = self._advance_cache.get(key, _MISS)
-        if cached is not _MISS:
+        if cached is _MISS:
+            self.view_misses.value += 1
+            cached = tag.advance(
+                self.protocol,
+                self.network,
+                configuration,
+                selection,
+                joins=joins,
+                step=step,
+            )
+            self._advance_cache[key] = cached
+            self._note_view_entry()
+        else:
             self.view_hits.value += 1
-            return cached
-        self.view_misses.value += 1
-        cached = tag.advance(
-            self.protocol,
-            self.network,
-            configuration,
-            selection,
-            joins=joins,
-            step=step,
-        )
-        self._advance_cache[key] = cached
-        self._note_view_entry()
+        if self.validate:
+            direct = self._direct.advance(
+                tag, configuration, selection, step, None, None
+            )
+            if cached != direct:
+                raise VerificationError(
+                    f"memoized wave-tag advance diverged from the direct "
+                    f"path for step {step}: memo={cached} direct={direct}"
+                )
         return cached
 
     # -- validation + stats ---------------------------------------------
     def _check_enabled(
         self, configuration: Configuration, enabled: dict, where: str
     ) -> None:
-        full = self.protocol.enabled_map(configuration, self.network)
+        full = self._direct.enabled_map(configuration)
         if full != enabled or list(full) != list(enabled):
             raise VerificationError(
                 f"memoized {where} diverged from the direct path: "
@@ -765,8 +790,8 @@ class ModelCheckMemo:
         self, configuration: Configuration, selection: dict, entry: tuple
     ) -> None:
         after, dirty, joins, _joins_key = entry
-        direct_after, direct_dirty = self.protocol.execute_selection(
-            configuration, self.network, selection, cache={}
+        direct_after, direct_dirty, _, _ = self._direct.transition(
+            configuration, selection, None
         )
         direct_joins = {
             p: self.protocol.join_parent(
@@ -800,6 +825,66 @@ class ModelCheckMemo:
         stats.view_evictions = self.view_evictions.value
         stats.interned_configurations = len(self.interner)
         stats.intern_hits = self.interner.hits
+
+
+class DirectEvaluator:
+    """:class:`ModelCheckMemo`'s interface over plain protocol evaluation.
+
+    What ``memo=False`` runs, and the reference the memo is checked
+    against: enabled maps come from
+    :meth:`~repro.runtime.protocol.Protocol.enabled_map` and
+    :meth:`~repro.runtime.protocol.Protocol.enabled_map_incremental`,
+    successors from :func:`apply_selection_dirty`, and
+    :meth:`WaveTag.advance` takes join parents from the configuration.
+    Nothing is interned, stored or counted.
+    """
+
+    def __init__(self, protocol: SnapPif, network: Network) -> None:
+        self.protocol = protocol
+        self.network = network
+
+    def intern(self, configuration: Configuration) -> Configuration:
+        return configuration
+
+    def enabled_map(self, configuration: Configuration) -> dict[int, list[Action]]:
+        return self.protocol.enabled_map(configuration, self.network, cache={})
+
+    def successor_enabled_map(
+        self,
+        prev_enabled: dict[int, list[Action]],
+        configuration: Configuration,
+        dirty,
+    ) -> dict[int, list[Action]]:
+        return self.protocol.enabled_map_incremental(
+            prev_enabled, configuration, self.network, dirty, cache={}
+        )
+
+    def transition(
+        self,
+        configuration: Configuration,
+        selection: dict[int, Action],
+        signature: tuple,
+    ) -> tuple[Configuration, set[int], None, None]:
+        after, dirty = apply_selection_dirty(
+            self.protocol, self.network, configuration, selection, cache={}
+        )
+        return after, dirty, None, None
+
+    def advance(
+        self,
+        tag: WaveTag,
+        configuration: Configuration,
+        selection: dict[int, Action],
+        step: tuple,
+        joins: None,
+        joins_key: None,
+    ) -> tuple["WaveTag | None", str | None]:
+        return tag.advance(
+            self.protocol, self.network, configuration, selection, step=step
+        )
+
+    def fill_stats(self, stats: ModelCheckStats) -> None:
+        """Nothing is cached, so every counter stays zero."""
 
 
 def _publish_check(result: ModelCheckResult) -> None:
@@ -839,6 +924,135 @@ def _publish_check(result: ModelCheckResult) -> None:
         stats.elapsed_seconds,
         _telemetry.TIME_BOUNDS,
     )
+
+
+def _limit_note(limit: int) -> str:
+    return f"stopped after {limit} counterexample{'s' if limit > 1 else ''}"
+
+
+class _Sweep:
+    """The skeleton every exhaustive checker runs in.
+
+    Resolves the ``memo`` / ``validate_memo`` knobs and builds the
+    evaluator (:class:`ModelCheckMemo`, or :class:`DirectEvaluator`
+    with the memo off); admits configurations under the
+    ``max_configurations`` and ``max_states`` budgets; stops at
+    ``limit`` counterexamples; and times the run, fills its stats and
+    publishes it.  Every stop before the enumeration's end leaves
+    ``complete=False`` and says why in ``truncation``.
+    """
+
+    def __init__(
+        self,
+        property_name: str,
+        network: Network,
+        root: int,
+        *,
+        protocol: SnapPif | None,
+        protocol_factory: "Callable[[Network, int], SnapPif] | None" = None,
+        memo: bool | None,
+        validate_memo: bool | None,
+        capacity: int | None,
+        max_configurations: int | None,
+        max_states: int | None = None,
+        limit: int | None = _COUNTEREXAMPLE_LIMIT,
+    ) -> None:
+        if protocol is None:
+            protocol = (protocol_factory or SnapPif.for_network)(network, root)
+        self.protocol = protocol
+        self.k = protocol.constants
+        memo = settings.resolve("memo", memo)
+        validate_memo = settings.resolve("validate_memo", validate_memo)
+        self.evaluator = (
+            ModelCheckMemo(
+                protocol, network, capacity=capacity, validate=validate_memo
+            )
+            if memo
+            else DirectEvaluator(protocol, network)
+        )
+        self.result = ModelCheckResult(
+            property_name, stats=ModelCheckStats(memo_enabled=memo)
+        )
+        self.max_configurations = max_configurations
+        self.max_states = max_states
+        self.limit = limit
+
+    def _truncate(self, why: str) -> None:
+        self.result.complete = False
+        self.result.truncation = why
+
+    def configurations(
+        self, configurations: Iterator[Configuration]
+    ) -> Iterator[Configuration]:
+        """Count and intern each configuration until a budget runs out."""
+        result = self.result
+        cap = self.max_configurations
+        for config in configurations:
+            if cap is not None and result.configurations_checked >= cap:
+                self._truncate(f"max_configurations={cap} reached")
+                return
+            if self.out_of_states():
+                return
+            result.configurations_checked += 1
+            yield self.evaluator.intern(config)
+
+    def out_of_states(self) -> bool:
+        """Whole-enumeration budget guard: once ``max_states`` is spent,
+        no further work happens anywhere."""
+        result = self.result
+        if self.max_states is None or result.states_explored < self.max_states:
+            return False
+        if result.truncation is None:
+            self._truncate(
+                f"max_states={self.max_states} exhausted after "
+                f"{result.configurations_checked} initiation "
+                f"configuration(s); enumeration terminated"
+            )
+        return True
+
+    def found(self, *counterexamples: Counterexample) -> bool:
+        """Record counterexamples; True when the sweep must stop."""
+        self.result.counterexamples.extend(counterexamples)
+        if self.limit is None or len(self.result.counterexamples) < self.limit:
+            return False
+        self._truncate(_limit_note(self.limit))
+        return True
+
+    def run(self, explore: Callable[[], None]) -> ModelCheckResult:
+        result = self.result
+        stats = result.stats
+        start = time.perf_counter()
+        try:
+            explore()
+        finally:
+            stats.elapsed_seconds = time.perf_counter() - start
+            # The closure sweep explores transitions only.
+            items = result.states_explored or result.transitions_explored
+            stats.states_per_second = (
+                items / stats.elapsed_seconds
+                if stats.elapsed_seconds > 0
+                else 0.0
+            )
+            self.evaluator.fill_stats(stats)
+            _publish_check(result)
+        return result
+
+
+def _stride_hits(
+    configurations: Iterator[Configuration],
+    config_slice: tuple[int, int] | None,
+    stride: int = 1,
+) -> Iterator[Configuration]:
+    """Every ``stride``-th configuration by raw enumeration index, within
+    the raw window ``config_slice``.
+
+    ``enumerate`` before ``islice`` keeps the global raw index on every
+    item, so a shard window picks exactly the serial sweep's stride hits.
+    """
+    indexed = enumerate(configurations)
+    if config_slice is not None:
+        indexed = itertools.islice(indexed, *config_slice)
+    return (config for index, config in indexed if index % stride == 0)
 
 
 # ----------------------------------------------------------------------
@@ -905,37 +1119,6 @@ def merge_model_check_results(
         else 0.0
     )
     return merged
-
-
-def _shard_tasks(
-    network: Network,
-    root: int,
-    worker_kind: str,
-    total: int,
-    shards: int | None,
-    protocol_factory,
-    common: dict,
-) -> list[tuple[tuple, dict]]:
-    """Build ``(key, payload)`` tasks for a sharded enumeration sweep.
-
-    The shard count defaults to :data:`DEFAULT_SHARDS` and is clamped to
-    the workload — crucially it never depends on the worker count, so
-    the shard results (and their merge) are identical for any ``jobs``.
-    """
-    from repro.parallel.executor import chunk_ranges
-
-    ranges = chunk_ranges(total, shards or DEFAULT_SHARDS)
-    tasks = []
-    for start, stop in ranges:
-        payload = {
-            "factory": protocol_factory,
-            "network": network,
-            "root": root,
-            "config_slice": (start, stop),
-            **common,
-        }
-        tasks.append(((network.name, worker_kind, start, stop), payload))
-    return tasks
 
 
 # ----------------------------------------------------------------------
@@ -1020,145 +1203,103 @@ def check_snap_safety(
     computed once.  The memo engine (on by default, see
     :class:`ModelCheckMemo`) therefore stores no transitions: it caches
     guards, statements and join parents per local view, interns
-    configurations and canonicalizes wave tags.  The memoized and
-    direct paths visit identical states and transitions and return
-    identical results.
+    configurations and canonicalizes wave tags.  With ``memo=False`` the
+    same loop runs on :class:`DirectEvaluator`; both visit identical
+    states and transitions and return identical results.
 
     ``memo`` defaults to the ``REPRO_MODELCHECK_MEMO`` environment
     variable (``0`` disables); ``validate_memo`` to
     ``REPRO_MODELCHECK_VALIDATE`` (cross-check every memoized answer
     against the direct path).  When a budget (``max_states`` /
-    ``max_configurations``) is exhausted the *whole* enumeration stops
-    immediately and :attr:`ModelCheckResult.truncation` records where.
-    With ``replay_counterexamples`` (the default) every counterexample
-    is confirmed through :func:`replay_counterexample` before being
+    ``max_configurations``) is exhausted, or ``stop_at_first`` stops
+    at a counterexample, the *whole* enumeration stops immediately and
+    :attr:`ModelCheckResult.truncation` records where.  With
+    ``replay_counterexamples`` (the default) every counterexample is
+    confirmed through :func:`replay_counterexample` before being
     reported.
 
     The sweep is always serial: one memo and one visited set are shared
     by every initiation configuration, which is what makes it fast
     (DESIGN.md §9).
     """
-    if protocol is None:
-        factory = protocol_factory or SnapPif.for_network
-        protocol = factory(network, root)
-    k = protocol.constants
-    memo = settings.resolve("memo", memo)
-    validate_memo = settings.resolve("validate_memo", validate_memo)
-    engine = (
-        ModelCheckMemo(protocol, network, capacity=None, validate=validate_memo)
-        if memo
-        else None
+    sweep = _Sweep(
+        "snap-safety (PIF1 ∧ PIF2)",
+        network,
+        root,
+        protocol=protocol,
+        protocol_factory=protocol_factory,
+        memo=memo,
+        validate_memo=validate_memo,
+        capacity=None,
+        max_configurations=max_configurations,
+        max_states=max_states,
+        limit=1 if stop_at_first else None,
     )
-    result = ModelCheckResult(property_name="snap-safety (PIF1 ∧ PIF2)")
-    stats = ModelCheckStats(memo_enabled=engine is not None)
-    result.stats = stats
+    protocol = sweep.protocol
+    evaluator = sweep.evaluator
+    result = sweep.result
+    stats = result.stats
+    transition = evaluator.transition
+    advance = evaluator.advance
+    successor_enabled_map = evaluator.successor_enabled_map
+    out_of_states = sweep.out_of_states
 
     visited: set[tuple[Configuration, WaveTag]] = set()
     root_b_action = protocol.node_actions(root, network)[0]
     assert root_b_action.name == "B-action"
 
-    def out_of_budget() -> bool:
-        """Whole-enumeration budget guard: once ``max_states`` is spent,
-        no further initiation-step work happens anywhere."""
-        if result.states_explored < max_states:
-            return False
-        if result.truncation is None:
-            result.complete = False
-            result.truncation = (
-                f"max_states={max_states} exhausted after "
-                f"{result.configurations_checked} initiation "
-                f"configuration(s); enumeration terminated"
-            )
-        return True
-
-    def emit(counterexample: Counterexample) -> None:
+    def found(counterexample: Counterexample) -> bool:
         if replay_counterexamples:
             replay_counterexample(network, counterexample, protocol=protocol)
-        result.counterexamples.append(counterexample)
+        return sweep.found(counterexample)
 
     def explore() -> None:
         # The tag of every freshly initiated wave: only the root is a
         # member, nothing acknowledged, no feedback yet.
         tag0 = WaveTag(frozenset({root}), frozenset(), False)
-        for config in enumerate_initiation_configurations(network, k):
-            if (
-                max_configurations is not None
-                and result.configurations_checked >= max_configurations
-            ):
-                result.complete = False
-                result.truncation = (
-                    f"max_configurations={max_configurations} reached"
-                )
-                return
-            if out_of_budget():
-                return
-            result.configurations_checked += 1
-
+        for config in sweep.configurations(
+            enumerate_initiation_configurations(network, sweep.k)
+        ):
             # The initiating step: the root's B-action fires, alone or
             # with any other enabled processors.  Successor enabled maps
             # are derived incrementally from the predecessor's map and
             # the step's dirty set — guard evaluation cost scales with
             # the 1-hop neighborhood of the changed nodes instead of
             # with the network.
-            if engine is not None:
-                config = engine.interner.intern(config)
-                enabled = engine.enabled_map(config)
-                init_cache: dict | None = None
-            else:
-                init_cache = {}
-                enabled = protocol.enabled_map(config, network, cache=init_cache)
+            enabled = evaluator.enabled_map(config)
             assert root in enabled and root_b_action in enabled[root]
 
             for first, first_step, rest_step in _initiation_selections(
                 enabled, root, root_b_action
             ):
-                if out_of_budget():
+                if out_of_states():
                     return
                 # The root's own B-action in this step *is* the
                 # initiation; only the other selected processors
                 # (``rest_step``) are advanced against it.
                 rest = {p: a for p, a in first.items() if p != root}
-                if engine is not None:
-                    after, dirty, joins, joins_key = engine.transition(
-                        config, first, first_step
+                after, dirty, joins, joins_key = transition(
+                    config, first, first_step
+                )
+                if rest:
+                    tag, violation = advance(
+                        tag0, config, rest, rest_step, joins, joins_key
                     )
-                    if rest:
-                        tag, violation = engine.advance(
-                            tag0, config, rest, rest_step, joins, joins_key
-                        )
-                    else:
-                        tag, violation = tag0, None
                 else:
-                    if rest:
-                        tag, violation = tag0.advance(
-                            protocol, network, config, rest, step=rest_step
-                        )
-                    else:
-                        tag, violation = tag0, None
-                    after, dirty = apply_selection_dirty(
-                        protocol, network, config, first, cache=init_cache
-                    )
+                    tag, violation = tag0, None
                 if violation is not None:
-                    emit(Counterexample(config, (first_step,), violation))
-                    if stop_at_first:
+                    if found(Counterexample(config, (first_step,), violation)):
                         return
                     continue
                 assert tag is not None  # the wave cannot finish on step one
 
                 start_state = (after, tag)
-                if engine is not None:
-                    if start_state in visited:
-                        # The entire subtree behind this initiation step
-                        # was already explored from another entry path —
-                        # the shared visited set's cross-initiation dedup.
-                        continue
-                    after_enabled = engine.successor_enabled_map(
-                        enabled, after, dirty
-                    )
-                else:
-                    after_enabled = protocol.enabled_map_incremental(
-                        enabled, after, network, dirty, cache={}
-                    )
+                if start_state in visited:
+                    # The entire subtree behind this initiation step was
+                    # already explored from another entry path — the
+                    # shared visited set's cross-initiation dedup.
+                    continue
+                after_enabled = successor_enabled_map(enabled, after, dirty)
 
                 # Schedule-reconstruction data, compact: states are
                 # numbered in discovery order and each holds one
@@ -1174,7 +1315,7 @@ def check_snap_safety(
                 ] = [(after, tag, after_enabled, 0)]
 
                 while stack:
-                    if out_of_budget():
+                    if out_of_states():
                         return
                     current, current_tag, current_enabled, state_id = (
                         stack.pop()
@@ -1184,58 +1325,30 @@ def check_snap_safety(
                         continue
                     visited.add(state)
                     result.states_explored += 1
-                    # One evaluation cache for everything executed
-                    # against ``current`` (direct path only — the memo
-                    # engine keys evaluations by local view instead).
-                    step_cache: dict | None = {} if engine is None else None
                     for selection, step in _selections(current_enabled):
                         result.transitions_explored += 1
-                        if engine is not None:
-                            nxt_config, nxt_dirty, joins, joins_key = (
-                                engine.transition(current, selection, step)
-                            )
-                            new_tag, violation = engine.advance(
-                                current_tag, current, selection, step,
-                                joins, joins_key,
-                            )
-                        else:
-                            new_tag, violation = current_tag.advance(
-                                protocol, network, current, selection,
-                                step=step,
-                            )
+                        nxt_config, nxt_dirty, joins, joins_key = transition(
+                            current, selection, step
+                        )
+                        new_tag, violation = advance(
+                            current_tag, current, selection, step,
+                            joins, joins_key,
+                        )
                         if violation is not None:
                             schedule = _reconstruct(
                                 parent_steps, state_id
                             ) + (step,)
-                            emit(Counterexample(config, schedule, violation))
-                            if stop_at_first:
+                            if found(Counterexample(config, schedule, violation)):
                                 return
                             continue
                         if new_tag is None:
                             continue  # cycle completed cleanly on this path
-                        if engine is None:
-                            nxt_config, nxt_dirty = apply_selection_dirty(
-                                protocol,
-                                network,
-                                current,
-                                selection,
-                                cache=step_cache,
-                            )
                         nxt = (nxt_config, new_tag)
                         if nxt in visited or nxt in discovered:
                             continue
-                        if engine is not None:
-                            nxt_enabled = engine.successor_enabled_map(
-                                current_enabled, nxt_config, nxt_dirty
-                            )
-                        else:
-                            nxt_enabled = protocol.enabled_map_incremental(
-                                current_enabled,
-                                nxt_config,
-                                network,
-                                nxt_dirty,
-                                cache={},
-                            )
+                        nxt_enabled = successor_enabled_map(
+                            current_enabled, nxt_config, nxt_dirty
+                        )
                         discovered.add(nxt)
                         nxt_id = len(parent_steps)
                         parent_steps.append((state_id, step))
@@ -1245,94 +1358,96 @@ def check_snap_safety(
                 if len(parent_steps) > stats.peak_parent_entries:
                     stats.peak_parent_entries = len(parent_steps)
 
-    start = time.perf_counter()
-    try:
-        explore()
-    finally:
-        stats.elapsed_seconds = time.perf_counter() - start
-        stats.states_per_second = (
-            result.states_explored / stats.elapsed_seconds
-            if stats.elapsed_seconds > 0
-            else 0.0
-        )
-        if engine is not None:
-            engine.fill_stats(stats)
-        _publish_check(result)
-    return result
+    return sweep.run(explore)
 
 
 def _check_sharded_sweep(
+    check: Callable[..., ModelCheckResult],
+    count: Callable[[Network, PifConstants], int],
     network: Network,
     root: int,
     *,
-    worker_kind: str,
+    property_name: str,
     protocol: SnapPif | None,
     protocol_factory,
     max_configurations: int | None,
     jobs: int,
     shards: int | None,
     task_timeout: float | None,
-    property_name: str,
-    common: dict,
-    counterexample_cap: int = 5,
+    options: dict,
 ) -> ModelCheckResult:
-    """Shard a per-configuration sweep over initiation configurations.
+    """Shard a synchronous sweep over raw enumeration windows and merge.
 
-    Shared by the cycle-liveness parallel path (and structured so the
-    convergence sweep in :mod:`repro.verification.convergence` follows
-    the same recipe): partition the first ``min(total,
-    max_configurations)`` enumeration indices into contiguous shards
-    whose count depends only on the workload, run each shard through the
-    serial single-sweep path, and merge in shard order.  The merged
-    counterexample list is capped at ``counterexample_cap`` — the serial
-    sweeps stop at five counterexamples, and because shards are merged
-    in enumeration order the capped list is exactly the serial one.
+    ``count(network, k)`` is the size of the sweep's raw enumeration;
+    ``options`` are the keyword arguments every shard passes to
+    ``check``, a ``stride`` among them (1 when absent).  The serial sweep
+    checks the stride hits ``0, s, 2s, …`` and, under
+    ``max_configurations=M``, stops after ``M`` of them, so it never
+    looks past raw index ``(M-1)·s``.  The window
+    ``min(total, (M-1)·s + 1)`` is split into contiguous ranges whose
+    count depends only on the workload; each shard runs ``check``
+    serially over its ``config_slice`` and the union of the shards'
+    stride hits is exactly the serial set.  Shards merge in range order,
+    and the merged counterexamples are cut where the serial sweep's
+    counterexample stop would cut them: after the first configuration
+    that brings the total to the limit, so a convergence configuration's
+    normal/SBN pair is never split (DESIGN.md §9).
     """
     from repro.parallel.executor import (
         ParallelError,
         ParallelExecutor,
+        chunk_ranges,
         raise_failures,
     )
-    from repro.parallel import workers as _workers
+    from repro.parallel.workers import check_shard
 
-    worker = {
-        "cycle-liveness": _workers.liveness_shard,
-    }[worker_kind]
     if protocol is not None and protocol_factory is None:
         raise ParallelError(
-            f"sharded {worker_kind} sweep cannot ship a protocol instance "
+            f"sharded {check.__name__} cannot ship a protocol instance "
             "across the pickle boundary; pass protocol_factory= (a "
             "module-level (network, root) -> protocol callable) instead"
         )
-    factory = protocol_factory or SnapPif.for_network
-    k = factory(network, root).constants
-    total = count_initiation_configurations(network, k)
-    effective = (
-        total if max_configurations is None else min(total, max_configurations)
-    )
-    tasks = _shard_tasks(
-        network, root, worker_kind, effective, shards, protocol_factory, common
-    )
-    capped = effective < total
-    cap_note = f"max_configurations={max_configurations} reached"
-    if not tasks:
-        result = ModelCheckResult(property_name=property_name)
-        result.stats = ModelCheckStats()
-        if capped:
-            result.complete = False
-            result.truncation = cap_note
-        return result
-    executor = ParallelExecutor(worker, jobs=jobs, timeout=task_timeout)
-    outcomes = executor.map(tasks)
-    raise_failures(outcomes)
-    merged = merge_model_check_results(outcomes, property_name=property_name)
-    if len(merged.counterexamples) > counterexample_cap:
-        merged.counterexamples = merged.counterexamples[:counterexample_cap]
-    if capped:
-        merged.complete = False
-        merged.truncation = (
-            f"{merged.truncation}; {cap_note}" if merged.truncation else cap_note
+    stride = options.get("stride", 1)
+    k = (protocol_factory or SnapPif.for_network)(network, root).constants
+    total = count(network, k)
+    window = total
+    if max_configurations is not None:
+        window = min(total, max(0, (max_configurations - 1) * stride + 1))
+    tasks = [
+        (
+            (network.name, check.__name__, start, stop),
+            {
+                "check": check,
+                "factory": protocol_factory,
+                "network": network,
+                "root": root,
+                "config_slice": (start, stop),
+                **options,
+            },
         )
+        for start, stop in chunk_ranges(window, shards or DEFAULT_SHARDS)
+    ]
+    outcomes = ParallelExecutor(
+        check_shard, jobs=jobs, timeout=task_timeout
+    ).map(tasks)
+    raise_failures(outcomes)
+    if outcomes:
+        merged = merge_model_check_results(
+            outcomes, property_name=property_name
+        )
+    else:
+        merged = ModelCheckResult(property_name, stats=ModelCheckStats())
+    items = merged.counterexamples
+    for cut in range(_COUNTEREXAMPLE_LIMIT, len(items) + 1):
+        if cut == len(items) or items[cut].initial != items[cut - 1].initial:
+            merged.counterexamples = items[:cut]
+            merged.complete = False
+            merged.truncation = _limit_note(_COUNTEREXAMPLE_LIMIT)
+            return merged
+    # Shards have no budgets of their own, so nothing else truncated.
+    if max_configurations is not None and total > max_configurations * stride:
+        merged.complete = False
+        merged.truncation = f"max_configurations={max_configurations} reached"
     return merged
 
 
@@ -1456,15 +1571,15 @@ def synchronous_selection(
     return selection, signature
 
 
-def run_synchronous_memo(
-    engine: ModelCheckMemo,
+def run_synchronous(
+    evaluator: "ModelCheckMemo | DirectEvaluator",
     configuration: Configuration,
     *,
     max_steps: int,
     monitor: PifCycleMonitor | None = None,
     stop: "Callable[[Configuration], bool] | None" = None,
 ) -> tuple[Configuration, int]:
-    """Synchronous execution driven entirely through the memo engine.
+    """Synchronous execution driven through an evaluator.
 
     Replicates :meth:`~repro.runtime.simulator.Simulator.run` under the
     synchronous daemon step for step: ``stop`` is evaluated on the
@@ -1473,12 +1588,14 @@ def run_synchronous_memo(
     synthesized :class:`~repro.runtime.trace.StepRecord` with
     ``rounds_completed=1`` (one synchronous step is exactly one round —
     every pending processor is selected, so the round closes every
-    step).  Returns ``(final configuration, steps executed)``.
+    step).  ``configuration`` is used as given, so pass it through
+    ``evaluator.intern`` first.  Returns ``(final configuration, steps
+    executed)``.
     """
-    config = engine.interner.intern(configuration)
+    config = configuration
     if monitor is not None:
         monitor.on_start(config)
-    enabled = engine.enabled_map(config)
+    enabled = evaluator.enabled_map(config)
     steps = 0
     while True:
         if stop is not None and stop(config):
@@ -1486,7 +1603,7 @@ def run_synchronous_memo(
         if not enabled or steps >= max_steps:
             break
         selection, signature = synchronous_selection(enabled)
-        after, dirty, _joins, _joins_key = engine.transition(
+        after, dirty, _joins, _joins_key = evaluator.transition(
             config, selection, signature
         )
         if monitor is not None:
@@ -1497,10 +1614,13 @@ def run_synchronous_memo(
                 after=after,
             )
             monitor.on_step(config, record, after)
-        enabled = engine.successor_enabled_map(enabled, after, dirty)
+        enabled = evaluator.successor_enabled_map(enabled, after, dirty)
         config = after
         steps += 1
     return config, steps
+
+
+_LIVENESS_PROPERTY = "cycle-liveness (synchronous)"
 
 
 def check_cycle_liveness_synchronous(
@@ -1524,121 +1644,81 @@ def check_cycle_liveness_synchronous(
     configuration suffices.  The budget is the Theorem 3 + Theorem 4
     worst case, in steps (one round per synchronous step), with slack.
 
-    With the memo engine on (the default; same ``memo`` /
-    ``validate_memo`` semantics as :func:`check_snap_safety`) the
-    synchronous executions run through :func:`run_synchronous_memo`:
-    initiation configurations converge onto shared suffixes, so
-    transitions and enabled maps are computed once across the whole
-    enumeration while a real :class:`~repro.core.monitor.PifCycleMonitor`
-    consumes the synthesized step records — verdicts, counterexamples
-    and counters are bit-identical to the direct simulator path.
+    The executions run through :func:`run_synchronous` on the sweep's
+    evaluator (same ``memo`` / ``validate_memo`` semantics as
+    :func:`check_snap_safety`) while a real
+    :class:`~repro.core.monitor.PifCycleMonitor` consumes the
+    synthesized step records.  With the memo on, initiation
+    configurations converge onto shared suffixes, so transitions and
+    enabled maps are computed once across the whole enumeration;
+    verdicts, counterexamples and counters are bit-identical either way.
 
-    ``jobs`` / ``shards`` / ``config_slice`` / ``task_timeout`` shard
-    the sweep exactly like :func:`check_snap_safety`.  Each per-
-    configuration run is deterministic and the step counts do not depend
-    on the memo engine, so the sharded sweep's merged coverage counters
-    (not just its verdicts) match the serial sweep whenever neither path
-    stops early on counterexamples.
+    ``jobs`` / ``shards`` / ``task_timeout`` shard the sweep across a
+    process pool (:func:`_check_sharded_sweep`); ``config_slice`` is
+    one shard's half-open window of enumeration indices.  Each
+    per-configuration run is deterministic and the step counts do not
+    depend on the evaluator, so the sharded sweep's merged coverage
+    counters (not just its verdicts) match the serial sweep whenever
+    neither path stops early on counterexamples.
     """
-    if config_slice is None:
-        n_jobs = settings.resolve("jobs", jobs)
-        if n_jobs is not None:
-            return _check_sharded_sweep(
-                network,
-                root,
-                worker_kind="cycle-liveness",
-                protocol=protocol,
-                protocol_factory=protocol_factory,
-                max_configurations=max_configurations,
-                jobs=n_jobs,
-                shards=shards,
-                task_timeout=task_timeout,
-                property_name="cycle-liveness (synchronous)",
-                common={
-                    "memo": memo,
-                    "memo_capacity": memo_capacity,
-                    "validate_memo": validate_memo,
-                },
-            )
-    if protocol is None:
-        factory = protocol_factory or SnapPif.for_network
-        protocol = factory(network, root)
-    k = protocol.constants
-    memo = settings.resolve("memo", memo)
-    validate_memo = settings.resolve("validate_memo", validate_memo)
-    engine = (
-        ModelCheckMemo(
-            protocol, network, capacity=memo_capacity, validate=validate_memo
+    n_jobs = settings.resolve("jobs", jobs)
+    if config_slice is None and n_jobs is not None:
+        return _check_sharded_sweep(
+            check_cycle_liveness_synchronous,
+            count_initiation_configurations,
+            network,
+            root,
+            property_name=_LIVENESS_PROPERTY,
+            protocol=protocol,
+            protocol_factory=protocol_factory,
+            max_configurations=max_configurations,
+            jobs=n_jobs,
+            shards=shards,
+            task_timeout=task_timeout,
+            options={
+                "memo": memo,
+                "memo_capacity": memo_capacity,
+                "validate_memo": validate_memo,
+            },
         )
-        if memo
-        else None
+    sweep = _Sweep(
+        _LIVENESS_PROPERTY,
+        network,
+        root,
+        protocol=protocol,
+        protocol_factory=protocol_factory,
+        memo=memo,
+        validate_memo=validate_memo,
+        capacity=memo_capacity,
+        max_configurations=max_configurations,
     )
-    result = ModelCheckResult(property_name="cycle-liveness (synchronous)")
-    stats = ModelCheckStats(memo_enabled=engine is not None)
-    result.stats = stats
+    protocol = sweep.protocol
+    k = sweep.k
     budget = bounds.glt_bound(k.l_max) + bounds.cycle_bound(k.l_max) + 8
 
-    config_iter: Iterator[Configuration] = enumerate_initiation_configurations(
-        network, k
-    )
-    if config_slice is not None:
-        config_iter = itertools.islice(config_iter, *config_slice)
-
-    start = time.perf_counter()
-    try:
-        for config in config_iter:
-            if (
-                max_configurations is not None
-                and result.configurations_checked >= max_configurations
-            ):
-                result.complete = False
-                result.truncation = (
-                    f"max_configurations={max_configurations} reached"
-                )
-                break
-            result.configurations_checked += 1
-            monitor = PifCycleMonitor(protocol, network)
-            if engine is not None:
-                _final, steps = run_synchronous_memo(
-                    engine,
-                    config,
-                    max_steps=budget,
-                    monitor=monitor,
-                    stop=lambda _c: len(monitor.completed_cycles) >= 1,
-                )
-                result.states_explored += steps
-            else:
-                sim = Simulator(
-                    protocol, network, configuration=config, monitors=[monitor]
-                )
-                sim.run(
-                    until=lambda _c: len(monitor.completed_cycles) >= 1,
-                    max_steps=budget,
-                )
-                result.states_explored += sim.steps
-            cycles = monitor.completed_cycles
-            if not cycles:
-                result.counterexamples.append(
-                    Counterexample(
-                        config, (), "initiated wave did not complete in budget"
-                    )
-                )
-                if len(result.counterexamples) >= 5:
-                    break
-            elif not cycles[0].ok:
-                result.counterexamples.append(
-                    Counterexample(config, (), "; ".join(cycles[0].violations))
-                )
-                if len(result.counterexamples) >= 5:
-                    break
-    finally:
-        stats.elapsed_seconds = time.perf_counter() - start
-        stats.states_per_second = (
-            result.states_explored / stats.elapsed_seconds
-            if stats.elapsed_seconds > 0
-            else 0.0
+    def explore() -> None:
+        configs = _stride_hits(
+            enumerate_initiation_configurations(network, k), config_slice
         )
-        if engine is not None:
-            engine.fill_stats(stats)
-        _publish_check(result)
-    return result
+        for config in sweep.configurations(configs):
+            monitor = PifCycleMonitor(protocol, network)
+            _final, steps = run_synchronous(
+                sweep.evaluator,
+                config,
+                max_steps=budget,
+                monitor=monitor,
+                stop=lambda _c: len(monitor.completed_cycles) >= 1,
+            )
+            sweep.result.states_explored += steps
+            cycles = monitor.completed_cycles
+            if cycles and cycles[0].ok:
+                continue
+            message = (
+                "; ".join(cycles[0].violations)
+                if cycles
+                else "initiated wave did not complete in budget"
+            )
+            if sweep.found(Counterexample(config, (), message)):
+                return
+
+    return sweep.run(explore)

@@ -186,6 +186,28 @@ class TestSynchronousSweeps:
                 == serial
             ), jobs
 
+    def test_liveness_counterexample_stop_matches_serial(self) -> None:
+        factory = MUTANT_FACTORIES["mutant-eager-fok"]
+        net = line(3)
+        serial = check_cycle_liveness_synchronous(net, protocol=factory(net, 0))
+        assert serial.truncation == "stopped after 5 counterexamples"
+        for jobs in (1, 2):
+            sharded = check_cycle_liveness_synchronous(
+                net, protocol_factory=factory, jobs=jobs
+            )
+            assert sharded.complete == serial.complete, jobs
+            assert sharded.truncation == serial.truncation, jobs
+            assert sharded.counterexamples == serial.counterexamples, jobs
+
+    @pytest.mark.parametrize(
+        "check", [check_cycle_liveness_synchronous, check_convergence_synchronous]
+    )
+    def test_zero_configuration_cap_matches_serial(self, check) -> None:
+        serial = check(line(3), max_configurations=0)
+        sharded = check(line(3), max_configurations=0, jobs=1)
+        assert _check_sig(sharded) == _check_sig(serial)
+        assert sharded.truncation == serial.truncation
+
     def test_convergence_truncation_fields_match_serial(self) -> None:
         net = line(3)
         kwargs = dict(max_configurations=50, stride=3)

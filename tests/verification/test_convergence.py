@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.pif import SnapPif
 from repro.core.state import Phase, PifState
+from repro.errors import VerificationError
 from repro.graphs import complete, line
 from repro.runtime.simulator import Simulator
 from repro.runtime.state import Configuration
@@ -59,6 +60,15 @@ class TestConvergenceExhaustive:
         )
         assert result.configurations_checked == 40
         assert not result.complete
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_rejected(self, monkeypatch, stride, jobs):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(VerificationError, match="stride must be >= 1"):
+            check_convergence_synchronous(
+                line(3), max_configurations=4, stride=stride, jobs=jobs
+            )
 
 
 class TestHistoricalDeadlocks:

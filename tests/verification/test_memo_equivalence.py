@@ -15,14 +15,19 @@ import tracemalloc
 import pytest
 
 from repro.core.pif import SnapPif
+from repro.errors import VerificationError
 from repro.graphs import complete, line, ring, star
 from repro.verification import (
+    ModelCheckMemo,
     ModelCheckResult,
+    WaveTag,
     check_convergence_synchronous,
     check_cycle_liveness_synchronous,
     check_normal_closure,
     check_snap_safety,
+    enumerate_initiation_configurations,
 )
+from repro.verification.model_check import _selections
 
 
 def _comparable(result: ModelCheckResult) -> dict:
@@ -142,8 +147,10 @@ class TestClosureEquivalence:
 
 class TestSynchronousCheckerEquivalence:
     """The synchronous checkers (liveness, convergence) drive their
-    deterministic executions through the memo engine; verdicts, coverage
-    counters and counterexamples must match the simulator path exactly."""
+    deterministic executions through ``run_synchronous`` on either
+    evaluator; verdicts, coverage counters and counterexamples must
+    match exactly (the direct loop is checked against the Simulator in
+    test_model_check.py)."""
 
     def test_liveness_line3_full(self) -> None:
         _assert_equivalent(
@@ -216,6 +223,35 @@ class TestValidateMode:
             validate_memo=True,
         )
         assert result.ok
+
+    def test_planted_wrong_advance_is_caught(self) -> None:
+        """A cached wave-tag advance that disagrees with direct
+        evaluation is served silently without validation and raises
+        with it."""
+        net = line(3)
+        protocol = SnapPif.for_network(net)
+        config = next(
+            enumerate_initiation_configurations(net, protocol.constants)
+        )
+        tag = WaveTag(frozenset({0}), frozenset(), False)
+        wrong = (WaveTag(frozenset({0, 1, 2}), frozenset(), False), None)
+        for validate in (False, True):
+            memo = ModelCheckMemo(
+                protocol, net, capacity=None, validate=validate
+            )
+            config = memo.intern(config)
+            selection, step = next(_selections(memo.enabled_map(config)))
+            _after, _dirty, joins, joins_key = memo.transition(
+                config, selection, step
+            )
+            memo._advance_cache[(tag, step, joins_key)] = wrong
+            if not validate:
+                assert memo.advance(
+                    tag, config, selection, step, joins, joins_key
+                ) == wrong
+                continue
+            with pytest.raises(VerificationError, match="advance diverged"):
+                memo.advance(tag, config, selection, step, joins, joins_key)
 
     def test_validate_env_default(self, monkeypatch) -> None:
         monkeypatch.setenv("REPRO_MODELCHECK_VALIDATE", "1")

@@ -15,11 +15,15 @@ from repro.core.state import Phase, PifConstants
 from repro.errors import VerificationError
 from repro.graphs import complete, line
 from repro.verification import (
+    check_convergence_synchronous,
     check_cycle_liveness_synchronous,
+    check_normal_closure,
     check_snap_safety,
     enumerate_initiation_configurations,
     node_state_domain,
 )
+
+from tests.mutants.protocols import EagerFokPif
 
 
 class TestEnumeration:
@@ -228,6 +232,87 @@ class TestLivenessSynchronous:
         )
         assert result.configurations_checked == 25
         assert not result.complete
+
+
+class TestRunSynchronousMatchesSimulator:
+    def test_every_initiation_configuration_of_line3(self) -> None:
+        """The checkers' synchronous loop over direct evaluation is the
+        Simulator under the synchronous daemon: same final
+        configuration, one round per step, same cycle reports."""
+        from repro.analysis import bounds
+        from repro.core.monitor import PifCycleMonitor
+        from repro.runtime.daemons import SynchronousDaemon
+        from repro.runtime.simulator import Simulator
+        from repro.verification.model_check import (
+            DirectEvaluator,
+            run_synchronous,
+        )
+
+        net = line(3)
+        protocol = SnapPif.for_network(net)
+        k = protocol.constants
+        budget = bounds.glt_bound(k.l_max) + bounds.cycle_bound(k.l_max) + 8
+        evaluator = DirectEvaluator(protocol, net)
+        checked = 0
+        for config in enumerate_initiation_configurations(net, k):
+            ours = PifCycleMonitor(protocol, net)
+            final, steps = run_synchronous(
+                evaluator,
+                config,
+                max_steps=budget,
+                monitor=ours,
+                stop=lambda _c: len(ours.completed_cycles) >= 1,
+            )
+            theirs = PifCycleMonitor(protocol, net)
+            run = Simulator(
+                protocol,
+                net,
+                SynchronousDaemon(),
+                configuration=config,
+                monitors=[theirs],
+            ).run(
+                until=lambda _c: len(theirs.completed_cycles) >= 1,
+                max_steps=budget,
+            )
+            assert final == run.final
+            assert steps == run.steps == run.rounds
+            assert ours.completed_cycles == theirs.completed_cycles
+            checked += 1
+        assert checked == 5184
+
+
+class TestEarlyStops:
+    """A sweep that stops at its counterexample limit has not covered
+    the enumeration: it reports ``complete=False`` and says why."""
+
+    @pytest.mark.parametrize(
+        "check, limit",
+        [
+            (check_snap_safety, 1),
+            (check_normal_closure, 5),
+            (check_cycle_liveness_synchronous, 5),
+            (check_convergence_synchronous, 5),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_counterexample_stop_is_incomplete(self, check, limit, memo):
+        net = line(3)
+        protocol = EagerFokPif(PifConstants.for_network(net))
+        result = check(net, protocol=protocol, memo=memo)
+        assert len(result.counterexamples) >= limit
+        assert not result.complete
+        expected = "counterexample" + ("s" if limit > 1 else "")
+        assert result.truncation == f"stopped after {limit} {expected}"
+
+    def test_snap_safety_without_stop_at_first_has_no_limit(self) -> None:
+        net = line(3)
+        protocol = EagerFokPif(PifConstants.for_network(net))
+        result = check_snap_safety(
+            net, protocol=protocol, stop_at_first=False, max_configurations=3
+        )
+        assert len(result.counterexamples) > 5
+        assert result.truncation == "max_configurations=3 reached"
 
 
 class TestWaveTagAgreesWithMonitor:
