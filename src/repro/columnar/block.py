@@ -37,7 +37,7 @@ class ColumnBlock:
     :meth:`invalidate`) so the materialization cache stays honest.
     """
 
-    __slots__ = ("schema", "backend", "n", "columns", "_states", "_config")
+    __slots__ = ("schema", "backend", "n", "columns", "_row", "_states", "_config")
 
     def __init__(
         self, schema: ColumnSchema, backend: str, configuration: Configuration
@@ -52,6 +52,8 @@ class ColumnBlock:
             )
             for i, f in enumerate(schema.fields)
         }
+        #: The columns in schema field order: one node's row, by index.
+        self._row = tuple(self.columns[f.name] for f in schema.fields)
         # Per-node decoded state cache, seeded with the exact objects of
         # the source configuration (no decode needed until a write).
         self._states: list[NodeState | None] = list(configuration.states)
@@ -62,12 +64,12 @@ class ColumnBlock:
     # ------------------------------------------------------------------
     def read_row(self, p: int) -> tuple[int, ...]:
         """Node ``p``'s raw column values, in schema field order."""
-        return tuple(int(self.columns[name][p]) for name in self.schema.names)
+        return tuple([int(column[p]) for column in self._row])
 
     def write_row(self, p: int, row: Sequence[int]) -> None:
         """Overwrite node ``p``'s columns and invalidate its cache entry."""
-        for name, value in zip(self.schema.names, row):
-            self.columns[name][p] = value
+        for column, value in zip(self._row, row):
+            column[p] = value
         self._states[p] = None
         self._config = None
 

@@ -2,8 +2,9 @@
 
 :class:`~repro.runtime.simulator.Simulator` drives every engine through
 one kernel interface (``load``, ``materialize``, ``enabled_map``,
-``execute_selection``, ``apply_updates``, ``rebuild``).  These two
-kernels implement it over the protocol's ordinary object path:
+``take_changes``, ``execute_selection``, ``apply_updates``,
+``rebuild``).  These two kernels implement it over the protocol's
+ordinary object path:
 
 * :class:`ObjectBridgeKernel` is ``engine="incremental"``: after a step
   it re-evaluates guards only on the 1-hop neighborhood of the nodes
@@ -14,8 +15,10 @@ kernels implement it over the protocol's ordinary object path:
   every node after every step, the reference the lockstep validator
   and the engine benchmarks compare against.
 
-The enabled map is handed out as is, without a copy: it is rebuilt,
-never mutated, so a caller may keep it until the next write.
+Each repair re-evaluates the guards of ``dirty ∪ N(dirty)``, compares
+the new entries with the old ones there and reports the ones that
+changed through ``take_changes``; ``enabled_map`` assembles the whole
+ascending map only when asked (load, rebuild, tests).
 """
 
 from __future__ import annotations
@@ -41,8 +44,11 @@ class ObjectBridgeKernel:
         self.protocol = protocol
         self.network = network
         self._config: Configuration | None = None
+        #: ``{node: enabled actions}`` of the enabled nodes.
         self._entries: dict[int, list[Action]] = {}
         self._cache: dict = {}
+        #: Entries changed since the last report.
+        self._changes: dict[int, list[Action] | None] = {}
 
     def load(self, configuration: Configuration) -> None:
         self._config = configuration
@@ -52,23 +58,29 @@ class ObjectBridgeKernel:
         )
 
     def rebuild(self, network: Network, configuration: Configuration) -> None:
-        """Swap the topology; repair on the nodes whose links changed.
+        """Swap the topology and re-evaluate every guard.
 
-        Only those nodes can be re-domained by the simulator, so they
-        are the whole dirty set.
+        Guard values can change only at the nodes whose links changed,
+        but every node's program is the new network's
+        (:meth:`Protocol.node_actions` is per network), so no entry of
+        the old map is carried over — like a recompile.
         """
-        dirty = set(self.network.changed_nodes(network))
         self.network = network
-        self._config = configuration
-        if dirty:
-            self._refresh(dirty)
+        self.load(configuration)
 
     def materialize(self) -> Configuration:
         assert self._config is not None, "kernel used before load()"
         return self._config
 
     def enabled_map(self) -> dict[int, list[Action]]:
-        return self._entries
+        entries = self._entries
+        return {p: entries[p] for p in sorted(entries)}
+
+    def take_changes(self) -> dict[int, list[Action] | None]:
+        """``{node: actions or None}`` changed since the last report."""
+        changes = self._changes
+        self._changes = {}
+        return changes
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         # Statements read the configuration the enabled map was
@@ -94,11 +106,32 @@ class ObjectBridgeKernel:
         return dirty
 
     def _refresh(self, dirty: set[int]) -> None:
+        """Re-evaluate ``dirty ∪ N(dirty)`` (1-hop locality, DESIGN.md §6)."""
+        network = self.network
+        affected = set(dirty)
+        for p in dirty:
+            affected.update(network.neighbors(p))
         cache: dict = {}
-        self._entries = self.protocol.enabled_map_incremental(
-            self._entries, self._config, self.network, dirty, cache=cache
-        )
+        enabled_actions = self.protocol.enabled_actions
+        config = self._config
+        fresh = {
+            p: enabled_actions(config, network, p, cache=cache) or None
+            for p in affected
+        }
         self._cache = cache
+        self._install(fresh)
+
+    def _install(self, fresh: Mapping[int, list[Action] | None]) -> None:
+        """Write re-evaluated entries, reporting the ones that changed."""
+        entries = self._entries
+        changes = self._changes
+        for p, actions in fresh.items():
+            if actions != entries.get(p):
+                changes[p] = actions
+                if actions is None:
+                    del entries[p]
+                else:
+                    entries[p] = actions
 
 
 class FullRecomputeKernel(ObjectBridgeKernel):
@@ -106,6 +139,7 @@ class FullRecomputeKernel(ObjectBridgeKernel):
 
     def _refresh(self, dirty: set[int]) -> None:
         self._cache = {}
-        self._entries = self.protocol.enabled_map(
+        full = self.protocol.enabled_map(
             self._config, self.network, cache=self._cache
         )
+        self._install({p: full.get(p) for p in self.network.nodes})

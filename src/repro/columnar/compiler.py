@@ -3,8 +3,9 @@
 :class:`CompiledSpecKernel` turns a protocol's declarative
 :class:`~repro.columnar.expr.ColumnarSpec` into a kernel satisfying the
 columnar engine interface (``load`` / ``enabled_map`` /
-``execute_selection`` / ``apply_updates``), replacing the per-protocol
-hand transcription the snap-PIF kernel used to be.  The same expression
+``take_changes`` / ``execute_selection`` / ``apply_updates``),
+replacing the per-protocol hand transcription the snap-PIF kernel used
+to be.  The same expression
 tree is evaluated two ways:
 
 * **scalar** — each IR node compiles once into a small closure
@@ -303,7 +304,8 @@ class CompiledSpecKernel:
         self.block: ColumnBlock | None = None
         self.cols: dict[str, object] = {}
         self._masks: list[int] = [0] * self.n
-        self._enabled: set[int] = set()
+        #: Nodes whose mask changed since the last report or load.
+        self._changed: set[int] = set()
         # Object-statement side-car: the authoritative state objects
         # (columns carry only the pure core the guards read).
         self._objstates: list[NodeState] | None = None
@@ -322,8 +324,8 @@ class CompiledSpecKernel:
         if self.spec.object_statements:
             self._objstates = list(configuration.states)
             self._objconfig = configuration
-        self._enabled.clear()
         self._recompute_masks(range(self.n))
+        self._changed.clear()
 
     def materialize(self) -> Configuration:
         if self.spec.object_statements:
@@ -340,24 +342,44 @@ class CompiledSpecKernel:
         Byte-identical (same keys, same order, same ``Action`` objects)
         to :meth:`Protocol.enabled_map` on the materialized
         configuration — the property the lockstep validator asserts.
+        O(N): the step loop reads :meth:`take_changes` instead.
         """
+        actions_of = self._actions_of
+        return {
+            p: list(actions_of(p)) for p, mask in enumerate(self._masks) if mask
+        }
+
+    def take_changes(self) -> dict[int, list[Action] | None]:
+        """The entries that changed since the last report or load.
+
+        ``{node: enabled actions}``, ``None`` for a node that became
+        disabled; the nodes are the ones :meth:`apply_masks` saw change.
+        """
+        changed = self._changed
+        if not changed:
+            return {}
+        self._changed = set()
         masks = self._masks
         memo = self._mask_actions
-        protocol = self.protocol
-        network = self.network
-        out: dict[int, list[Action]] = {}
-        for p in sorted(self._enabled):
+        changes: dict[int, list[Action] | None] = {}
+        for p in changed:
             mask = masks[p]
-            key = (p, mask)
-            actions = memo.get(key)
-            if actions is None:
-                program = protocol.node_actions(p, network)
-                actions = tuple(
-                    a for i, a in enumerate(program) if mask >> i & 1
-                )
-                memo[key] = actions
-            out[p] = list(actions)
-        return out
+            if mask:
+                changes[p] = list(memo.get((p, mask)) or self._actions_of(p))
+            else:
+                changes[p] = None
+        return changes
+
+    def _actions_of(self, p: int) -> tuple[Action, ...]:
+        """The actions enabled at ``p`` by its current (non-zero) mask."""
+        mask = self._masks[p]
+        key = (p, mask)
+        actions = self._mask_actions.get(key)
+        if actions is None:
+            program = self.protocol.node_actions(p, self.network)
+            actions = tuple(a for i, a in enumerate(program) if mask >> i & 1)
+            self._mask_actions[key] = actions
+        return actions
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         """One computation step: simultaneous writes, dirty-region repair."""
@@ -592,15 +614,13 @@ class CompiledSpecKernel:
         return [mask_of(p) for p in nodes]
 
     def apply_masks(self, nodes, values: Sequence[int]) -> None:
-        """Install :meth:`mask_values` results into the mask/enabled state."""
+        """Install :meth:`mask_values` results, noting the masks that changed."""
         masks = self._masks
-        enabled = self._enabled
+        changed = self._changed
         for p, mask in zip(nodes, values):
-            masks[p] = mask
-            if mask:
-                enabled.add(p)
-            else:
-                enabled.discard(p)
+            if masks[p] != mask:
+                masks[p] = mask
+                changed.add(p)
 
     def _mask_of(self, p: int) -> int:
         cols = self.cols

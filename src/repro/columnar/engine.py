@@ -119,6 +119,9 @@ class ColumnarRuntime:
     def enabled_map(self) -> dict[int, list[Action]]:
         return self.kernel.enabled_map()
 
+    def take_changes(self) -> dict[int, list[Action] | None]:
+        return self.kernel.take_changes()
+
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         return self.kernel.execute_selection(selection)
 

@@ -131,7 +131,10 @@ class ViewKernel:
         self._stale: set[int] = set(network.nodes)
         #: Per-node macro memo tables, dropped when the view changes.
         self._caches: dict[int, dict] = {}
-        self._enabled: dict[int, list[Action]] = {}
+        #: ``{node: enabled actions}`` of the enabled nodes, unordered.
+        self._entries: dict[int, list[Action]] = {}
+        #: Entries changed since the last report.
+        self._changes: dict[int, list[Action] | None] = {}
         self._config: Configuration | None = configuration
 
     def _touch(self, p: int) -> None:
@@ -178,7 +181,8 @@ class ViewKernel:
 
         A removed link loses its view copy and bookkeeping; a new link
         handshakes to a consistent copy.  Only nodes whose links changed
-        can have been re-domained.
+        can have been re-domained, but every node's guards are evaluated
+        again: its program is the new network's.
         """
         old = self.network
         for u in old.nodes:
@@ -186,14 +190,14 @@ class ViewKernel:
                 if not network.has_edge(u, v):
                     del self.applied[(u, v)]
                     self.views[v].pop(u, None)
-                    self._touch(v)
         for u in network.nodes:
             for v in network.neighbors(u):
                 if (u, v) not in self.applied:
                     self.applied[(u, v)] = self.version[u]
                     self.views[v][u] = self.truth[u]
-                    self._touch(v)
         self.network = network
+        for p in network.nodes:
+            self._touch(p)
         self.apply_updates(
             {
                 p: configuration[p]
@@ -211,7 +215,16 @@ class ViewKernel:
     def enabled_map(self) -> dict[int, list[Action]]:
         if self._stale:
             self._refresh()
-        return self._enabled
+        entries = self._entries
+        return {p: entries[p] for p in sorted(entries)}
+
+    def take_changes(self) -> dict[int, list[Action] | None]:
+        """Re-evaluate the stale views; report the entries that changed."""
+        if self._stale:
+            self._refresh()
+        changes = self._changes
+        self._changes = {}
+        return changes
 
     def execute_selection(self, selection: Mapping[int, Action]) -> set[int]:
         """Execute against local views; only the own view sees the write."""
@@ -246,22 +259,18 @@ class ViewKernel:
 
     def _refresh(self) -> None:
         """Re-evaluate guards of the nodes whose view changed."""
-        fresh: dict[int, list[Action] | None] = {}
+        entries = self._entries
+        changes = self._changes
         for p in self._stale:
             cache: dict = {}
-            fresh[p] = self.evaluate(p, cache) or None
+            actions = self.evaluate(p, cache) or None
             self._caches[p] = cache
-        enabled: dict[int, list[Action]] = {}
-        for node in self.network.nodes:
-            if node in fresh:
-                actions = fresh[node]
-                if actions is not None:
-                    enabled[node] = actions
-            else:
-                prev = self._enabled.get(node)
-                if prev is not None:
-                    enabled[node] = prev
-        self._enabled = enabled
+            if actions != entries.get(p):
+                changes[p] = actions
+                if actions is None:
+                    del entries[p]
+                else:
+                    entries[p] = actions
         self._stale.clear()
 
 

@@ -27,14 +27,18 @@ A daemon's :meth:`Daemon.select` receives the enabled map (node → list
 of enabled actions, in program order), the per-node *ages* (number of
 consecutive steps each node has been enabled, ``1`` meaning freshly
 enabled) and a seeded RNG, and must return a non-empty ``{node: action}``
-selection.
+selection.  The simulator passes the map as an :class:`EnabledView`: it
+iterates in ascending node order and lists its nodes as an indexable
+sequence, so sampling it copies nothing.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from collections.abc import ItemsView
 from random import Random
-from typing import Mapping, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from repro.errors import ReplayError, ScheduleError
 from repro.runtime.network import Network
@@ -42,6 +46,7 @@ from repro.runtime.protocol import Action
 
 __all__ = [
     "Daemon",
+    "EnabledView",
     "SynchronousDaemon",
     "CentralDaemon",
     "LocallyCentralDaemon",
@@ -51,6 +56,104 @@ __all__ = [
     "RoundRobinDaemon",
     "WeaklyFairDaemon",
 ]
+
+
+#: Above this many nodes entering or leaving in one patch, the view
+#: rebuilds its node list in one linear pass instead of inserting and
+#: deleting each node in place (each of which moves the list's tail).
+_BULK_PATCH = 64
+
+
+class EnabledView(Mapping[int, list[Action]]):
+    """The live enabled map: ``{node: enabled actions}``, ascending keys.
+
+    :attr:`nodes` is the ascending node list itself, so a daemon can
+    sample, scan or index it without copying; ``rng.choice(view.nodes)``
+    draws exactly what ``rng.choice(list(view))`` would.  The simulator
+    owns the view and patches it in place from its kernel's change
+    report (:meth:`patch`); a daemon treats it as read-only and does
+    not keep it across steps.
+    """
+
+    __slots__ = ("_actions", "_order")
+
+    def __init__(self, entries: Mapping[int, list[Action]] | None = None) -> None:
+        self._actions: dict[int, list[Action]] = dict(entries or {})
+        self._order: list[int] = sorted(self._actions)
+
+    @property
+    def nodes(self) -> Sequence[int]:
+        """The enabled nodes in ascending order (read-only, not a copy)."""
+        return self._order
+
+    @property
+    def node_set(self) -> AbstractSet[int]:
+        """The enabled nodes as a live, unordered set (O(1) membership)."""
+        return self._actions.keys()
+
+    def __getitem__(self, node: int) -> list[Action]:
+        return self._actions[node]
+
+    def get(self, node: int, default=None):
+        return self._actions.get(node, default)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._actions
+
+    def __len__(self) -> int:
+        return len(self._actions)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._order)
+
+    def items(self) -> ItemsView[int, list[Action]]:
+        return _EnabledItems(self)
+
+    def patch(self, changes: Mapping[int, list[Action] | None]) -> None:
+        """Install ``changes``: each node's new actions, ``None`` if disabled."""
+        actions = self._actions
+        moved: list[int] = []
+        for node, new in changes.items():
+            if new:
+                if node not in actions:
+                    moved.append(node)
+                actions[node] = new
+            elif actions.pop(node, None) is not None:
+                moved.append(node)
+        order = self._order
+        if len(moved) > _BULK_PATCH:
+            # Filter out the leavers, then merge the joiners: sorting
+            # two ascending runs is a linear merge.
+            gone = {node for node in moved if node not in actions}
+            if gone:
+                order = [node for node in order if node not in gone]
+            order += sorted(node for node in moved if node in actions)
+            order.sort()
+            self._order = order
+            return
+        for node in moved:
+            index = bisect_left(order, node)
+            if node in actions:
+                order.insert(index, node)
+            else:
+                del order[index]
+
+
+class _EnabledItems(ItemsView):
+    """``(node, actions)`` pairs in ascending node order, iterated in C."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[int, list[Action]]]:
+        view = self._mapping
+        return zip(view._order, map(view._actions.__getitem__, view._order))
+
+
+def _nodes(enabled: Mapping[int, Sequence[Action]]) -> Sequence[int]:
+    """The enabled nodes as an indexable sequence, in iteration order."""
+    if isinstance(enabled, EnabledView):
+        return enabled.nodes
+    return list(enabled)
 
 
 def _pick_action(actions: Sequence[Action], policy: str, rng: Random) -> Action:
@@ -145,7 +248,7 @@ class CentralDaemon(Daemon):
         ages: Mapping[int, int],
         rng: Random,
     ) -> dict[int, Action]:
-        nodes = list(enabled)
+        nodes = _nodes(enabled)
         if self._choice == "random":
             p = rng.choice(nodes)
         elif self._choice == "oldest":
@@ -221,7 +324,7 @@ class DistributedRandomDaemon(Daemon):
             if rng.random() < self.probability
         }
         if not chosen:
-            p = rng.choice(list(enabled))
+            p = rng.choice(_nodes(enabled))
             chosen[p] = self._choose(enabled[p], rng)
         return chosen
 

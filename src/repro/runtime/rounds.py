@@ -12,13 +12,47 @@ of processors that were enabled when the current round began and have
 been *continuously enabled and inactive* since.  A processor leaves the
 set by executing any action, or by becoming disabled without executing
 (the disable action).  The round completes when the set empties.
+
+Both ways out happen only at processors that executed or whose enabled
+status changed, so a step is accounted in O(|executed ∪ changed|) when
+the caller names the changed processors; the set is refilled from the
+enabled set only when a round ends.  Ages are kept as each streak's
+start step, so a processor that simply stays enabled costs nothing
+(DESIGN.md §6.1).
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 __all__ = ["RoundCounter"]
+
+
+class _Ages(Mapping[int, int]):
+    """Read-only ``{processor: consecutive steps enabled}`` over streak starts."""
+
+    __slots__ = ("_counter",)
+
+    def __init__(self, counter: "RoundCounter") -> None:
+        self._counter = counter
+
+    def __getitem__(self, p: int) -> int:
+        counter = self._counter
+        return counter._step - counter._start[p] + 1
+
+    def get(self, p: int, default=None):
+        counter = self._counter
+        start = counter._start.get(p)
+        return default if start is None else counter._step - start + 1
+
+    def __contains__(self, p: object) -> bool:
+        return p in self._counter._start
+
+    def __len__(self) -> int:
+        return len(self._counter._start)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._counter._start)
 
 
 class RoundCounter:
@@ -26,11 +60,12 @@ class RoundCounter:
 
     Usage: construct with the initially enabled set, then call
     :meth:`observe_step` once per computation step with the processors
-    that executed an action and the set enabled in the *next*
-    configuration.
+    that executed an action, the set enabled in the *next*
+    configuration and, for O(|changed|) accounting, the processors whose
+    enabled status may have changed during the step.
     """
 
-    __slots__ = ("_pending", "_completed", "_ages", "_excluded")
+    __slots__ = ("_pending", "_completed", "_start", "_step", "_excluded", "_ages")
 
     def __init__(
         self,
@@ -41,9 +76,13 @@ class RoundCounter:
         self._excluded: frozenset[int] = frozenset(excluded)
         self._pending: set[int] = set(initially_enabled) - self._excluded
         self._completed = 0
-        # Consecutive steps each processor has been enabled (>= 1 when
-        # enabled); shared with daemons for fairness decisions.
-        self._ages: dict[int, int] = {p: 1 for p in self._pending}
+        #: Steps observed so far.
+        self._step = 0
+        # The step each enabled processor's current streak began at;
+        # its age is the streak length, shared with daemons for
+        # fairness decisions.  Mutated in place: ``_ages`` reads it.
+        self._start: dict[int, int] = dict.fromkeys(self._pending, 0)
+        self._ages = _Ages(self)
 
     @property
     def completed_rounds(self) -> int:
@@ -57,7 +96,10 @@ class RoundCounter:
 
     @property
     def ages(self) -> Mapping[int, int]:
-        """Consecutive-steps-enabled per currently enabled processor."""
+        """Consecutive-steps-enabled per currently enabled processor.
+
+        A live read-only view: it follows the counter without copies.
+        """
         return self._ages
 
     @property
@@ -73,8 +115,10 @@ class RoundCounter:
         bookkeeping is discarded.  The excluded (crashed) set survives
         the restart — a memory fault does not revive a dead processor.
         """
-        self._pending = set(enabled) - self._excluded
-        self._ages = {p: 1 for p in self._pending}
+        excluded = self._excluded
+        self._pending = {p for p in enabled if p not in excluded}
+        self._start.clear()
+        self._start.update(dict.fromkeys(self._pending, self._step))
 
     def set_excluded(
         self, excluded: Iterable[int], enabled_now: Iterable[int]
@@ -96,13 +140,14 @@ class RoundCounter:
         newly = excluded - self._excluded
         self._excluded = excluded
 
+        start = self._start
         emptied = bool(self._pending) and not (self._pending - newly)
         self._pending -= newly
         for p in newly:
-            self._ages.pop(p, None)
+            start.pop(p, None)
         for p in enabled_now:
-            if p not in excluded and p not in self._ages:
-                self._ages[p] = 1
+            if p not in excluded and p not in start:
+                start[p] = self._step
 
         completed = 0
         if not self._pending:
@@ -115,7 +160,10 @@ class RoundCounter:
         return completed
 
     def observe_step(
-        self, executed: AbstractSet[int], enabled_after: AbstractSet[int]
+        self,
+        executed: Iterable[int],
+        enabled_after: AbstractSet[int],
+        changed: Iterable[int] | None = None,
     ) -> int:
         """Account for one computation step.
 
@@ -125,36 +173,44 @@ class RoundCounter:
             Processors that executed a protocol action in this step.
         enabled_after:
             Processors enabled in the configuration *after* the step.
+        changed:
+            Processors whose enabled status may have changed during the
+            step (a superset is fine).  ``None`` means any processor may
+            have, and every tracked or enabled processor is examined.
 
-        Returns the number of rounds completed by this step (0 or more;
-        more than one only if the round emptied and the next round's
-        enabled set is empty too — which cannot happen because an empty
-        enabled set means the computation is terminal).
+        Returns the number of rounds completed by this step (0 or 1).
         """
-        # Ages: executing or becoming disabled resets the streak.
+        self._step += 1
+        step = self._step
+        start = self._start
+        excluded = self._excluded
+        executed = set(executed)
+        if changed is None:
+            touched = executed.union(start, enabled_after)
+        else:
+            touched = executed.union(changed)
+        # Ages: executing restarts a streak, becoming disabled ends it.
         # Excluded (crashed) processors carry no age at all — daemons
         # must not count them against fairness.
-        excluded = self._excluded
-        new_ages: dict[int, int] = {}
-        for p in enabled_after:
-            if p in excluded:
-                continue
-            if p in executed or p not in self._ages:
-                new_ages[p] = 1
-            else:
-                new_ages[p] = self._ages[p] + 1
-        self._ages = new_ages
-
+        live = touched & enabled_after
+        if excluded:
+            live -= excluded
+        dead = touched - live
+        for p in dead:
+            start.pop(p, None)
+        fresh = live.difference(start)
+        fresh |= live & executed
+        start.update(dict.fromkeys(fresh, step))
         # Round bookkeeping: drop processors that acted, or that were
         # neutralized (disable action = enabled before, not after, no
         # action executed).
-        self._pending = {
-            p for p in self._pending if p not in executed and p in enabled_after
-        }
-
-        completed = 0
-        if not self._pending:
-            completed = 1
-            self._completed += 1
-            self._pending = {p for p in enabled_after if p not in excluded}
-        return completed
+        pending = self._pending
+        pending.difference_update(executed, dead)
+        if pending:
+            return 0
+        self._completed += 1
+        if excluded:
+            pending.update(p for p in enabled_after if p not in excluded)
+        else:
+            pending.update(enabled_after)
+        return 1

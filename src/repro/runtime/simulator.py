@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Protocol as TypingProtocol, Sequ
 from repro import settings
 from repro import telemetry as _telemetry
 from repro.errors import ScheduleError, SimulationLimitError, VerificationError
-from repro.runtime.daemons import Daemon, SynchronousDaemon
+from repro.runtime.daemons import Daemon, EnabledView, SynchronousDaemon
 from repro.runtime.network import Network
 from repro.runtime.protocol import Action, Protocol
 from repro.runtime.rounds import RoundCounter
@@ -81,12 +81,19 @@ class Simulator:
     """Drive a protocol on a network under a daemon.
 
     Every engine is a *kernel* behind one interface — ``load``,
-    ``materialize``, ``enabled_map``, ``execute_selection``,
-    ``apply_updates`` and ``rebuild`` (topology change) — and the
-    simulator is the one step loop around it: daemon selection, round
-    accounting, counters, telemetry, trace and monitors.
-    :meth:`_make_kernel` is the one place an engine name becomes a
-    kernel.
+    ``materialize``, ``enabled_map``, ``take_changes``,
+    ``execute_selection``, ``apply_updates`` and ``rebuild`` (topology
+    change) — and the simulator is the one step loop around it: daemon
+    selection, round accounting, counters, telemetry, trace and
+    monitors.  :meth:`_make_kernel` is the one place an engine name
+    becomes a kernel.
+
+    The simulator keeps one live :class:`EnabledView`, read in full from
+    ``enabled_map`` only after a load or rebuild and otherwise patched
+    from the kernel's ``take_changes`` report; the round counter is fed
+    the same report.  A step therefore costs O(|selection| + |dirty ∪
+    N(dirty)|) outside the kernel, plus one refill of the round's
+    pending set per round.
 
     Parameters
     ----------
@@ -177,7 +184,13 @@ class Simulator:
 
         self.daemon.reset()
         self._kernel = self._make_kernel(config)
-        self._enabled = self._kernel.enabled_map()
+        self._enabled = EnabledView(self._kernel.enabled_map())
+        #: The live view minus crashed/suppressed processors, kept only
+        #: while some processor is excluded.
+        self._selectable_view: EnabledView | None = None
+        #: Processors whose enabled entry changed since round accounting
+        #: last ran.
+        self._changed: set[int] = set()
         self._rounds = RoundCounter(self._enabled)
         for monitor in self._monitors:
             monitor.on_start(config)
@@ -269,16 +282,10 @@ class Simulator:
         """
         return bool(self._enabled) and not self._selectable()
 
-    def _selectable(self) -> dict[int, list[Action]]:
+    def _selectable(self) -> EnabledView:
         """The enabled map minus crashed/suppressed processors."""
-        if not self._crashed and not self._suppressed:
-            return self._enabled
-        excluded = self._crashed | self._suppressed
-        return {
-            p: actions
-            for p, actions in self._enabled.items()
-            if p not in excluded
-        }
+        view = self._selectable_view
+        return self._enabled if view is None else view
 
     def add_monitor(self, monitor: Monitor) -> None:
         """Attach a monitor; it sees the current configuration as start."""
@@ -303,7 +310,7 @@ class Simulator:
         # A fault can rewrite any subset of the memory, so the dirty-set
         # argument does not apply: the kernel reloads from scratch.
         self._kernel.load(configuration)
-        self._reload_enabled(set(self.network.nodes))
+        self._reload_all(set(self.network.nodes))
         self._restart("configuration replaced")
 
     def perturb_configuration(self, updates: Mapping[int, NodeState]) -> set[int]:
@@ -334,7 +341,8 @@ class Simulator:
 
     def _restart(self, detail: str) -> None:
         """After a corruption: restart the round and every monitor."""
-        self._rounds.restart(frozenset(self._enabled))
+        self._rounds.restart(self._enabled)
+        self._changed.clear()
         for monitor in self._monitors:
             monitor.on_start(self.configuration)
         self._mark_fault("corrupt", detail)
@@ -366,10 +374,7 @@ class Simulator:
         if not newly:
             return frozenset()
         self._crashed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusions_changed()
         self._mark_fault("crash", f"nodes {sorted(newly)}")
         return newly
 
@@ -387,10 +392,7 @@ class Simulator:
         if not back:
             return frozenset()
         self._crashed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusions_changed()
         self._mark_fault("recover", f"nodes {sorted(back)}")
         return back
 
@@ -417,10 +419,7 @@ class Simulator:
         if not newly:
             return frozenset()
         self._suppressed |= newly
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusions_changed()
         self._mark_fault("suppress", f"nodes {sorted(newly)}")
         return newly
 
@@ -436,12 +435,24 @@ class Simulator:
         if not back:
             return frozenset()
         self._suppressed -= back
-        self._rounds.set_excluded(
-            frozenset(self._crashed | self._suppressed),
-            frozenset(self._enabled),
-        )
+        self._exclusions_changed()
         self._mark_fault("release", f"nodes {sorted(back)}")
         return back
+
+    def _exclusions_changed(self) -> None:
+        """Re-derive round exclusion and the selectable view (O(|enabled|))."""
+        self._rounds.set_excluded(self._crashed | self._suppressed, self._enabled)
+        self._rebuild_selectable()
+
+    def _rebuild_selectable(self) -> None:
+        excluded = self._rounds.excluded
+        self._selectable_view = (
+            EnabledView(
+                {p: a for p, a in self._enabled.items() if p not in excluded}
+            )
+            if excluded
+            else None
+        )
 
     def apply_topology(self, network: Network) -> frozenset[int]:
         """Swap the network under the live run — link churn.
@@ -451,10 +462,11 @@ class Simulator:
         set are re-domained via the protocol's
         :meth:`~repro.runtime.protocol.Protocol.sanitize_state`; the
         kernel is rebuilt for the new topology (the object kernels
-        repair with the changed endpoints as the dirty set — an edge
-        flip dirties exactly its two endpoints; a compiled kernel is
-        recompiled).  Monitors are told the new topology and
-        restarted.  Returns the dirty set used.
+        re-evaluate every guard on the new network's programs; a
+        compiled kernel is recompiled).  An edge flip dirties exactly
+        its two endpoints, and the round restarts when anything is
+        dirty.  Monitors are told the new topology and restarted.
+        Returns the dirty set used.
         """
         if network.n != self.network.n:
             raise ScheduleError(
@@ -473,9 +485,10 @@ class Simulator:
         dirty = set(touched) | set(updates)
         self.network = network
         self._kernel.rebuild(network, current.replace(updates))
-        self._reload_enabled(dirty)
+        self._reload_all(dirty)
         if dirty:
-            self._rounds.restart(frozenset(self._enabled))
+            self._rounds.restart(self._enabled)
+            self._changed.clear()
         for monitor in self._monitors:
             on_network = getattr(monitor, "on_network", None)
             if on_network is not None:
@@ -533,7 +546,7 @@ class Simulator:
             self._check_successor(before, selection, after, dirty)
         return self._finish_step(selection, dirty, before, after)
 
-    def _select(self, selectable: Mapping[int, list[Action]]) -> dict[int, Action]:
+    def _select(self, selectable: EnabledView) -> dict[int, Action]:
         """Ask the daemon for a selection and check it."""
         selection = self.daemon.select(
             selectable,
@@ -553,9 +566,14 @@ class Simulator:
         after: Configuration | None,
     ) -> StepRecord:
         """The bookkeeping every step ends with; returns its record."""
+        if self.validate_engine:
+            expected = self._expected_rounds(selection)
         rounds_completed = self._rounds.observe_step(
-            set(selection), frozenset(self._enabled)
+            selection, self._enabled.node_set, self._changed
         )
+        self._changed.clear()
+        if self.validate_engine:
+            self._check_rounds(expected)
 
         self._steps += 1
         self._moves += len(selection)
@@ -661,8 +679,28 @@ class Simulator:
                 )
 
     def _reload_enabled(self, dirty: set[int]) -> None:
-        """Take the kernel's enabled map after ``dirty`` nodes changed."""
-        self._enabled = self._kernel.enabled_map()
+        """Patch the live view from the kernel's report after ``dirty`` changed."""
+        changes = self._kernel.take_changes()
+        if changes:
+            self._enabled.patch(changes)
+            self._changed.update(changes)
+            if self._selectable_view is not None:
+                excluded = self._rounds.excluded
+                self._selectable_view.patch(
+                    {p: a for p, a in changes.items() if p not in excluded}
+                )
+        if self.validate_engine:
+            self._check_against_full(dirty)
+
+    def _reload_all(self, dirty: set[int]) -> None:
+        """Re-read the whole enabled map after a load or rebuild.
+
+        The caller restarts the round when anything changed, so the
+        change report is dropped rather than accounted.
+        """
+        self._enabled = EnabledView(self._kernel.enabled_map())
+        self._kernel.take_changes()
+        self._rebuild_selectable()
         if self.validate_engine:
             self._check_against_full(dirty)
 
@@ -671,13 +709,63 @@ class Simulator:
         return self.protocol.enabled_map(self.configuration, self.network)
 
     def _check_against_full(self, dirty: set[int]) -> None:
+        """The live view (and the selectable view) against a full recompute."""
         full = self._full_enabled_map()
-        if full != self._enabled or list(full) != list(self._enabled):
+        excluded = self._rounds.excluded
+        views = [(self._enabled, full)]
+        if self._selectable_view is not None:
+            views.append(
+                (
+                    self._selectable_view,
+                    {p: a for p, a in full.items() if p not in excluded},
+                )
+            )
+        for view, expect in views:
+            if (
+                dict(view.items()) != expect
+                or list(view) != list(expect)
+            ):
+                raise VerificationError(
+                    f"{self.engine} enabled map diverged from full recompute "
+                    f"at step {self._steps} (dirty={sorted(dirty)}): "
+                    f"{self.engine}={ {p: [a.name for a in v] for p, v in view.items()} } "
+                    f"full={ {p: [a.name for a in v] for p, v in expect.items()} }"
+                )
+
+    def _expected_rounds(
+        self, executed: Mapping[int, Action]
+    ) -> tuple[frozenset[int], dict[int, int], int]:
+        """The round state after this step, recomputed from the full view.
+
+        Applies the definition to every enabled processor — the O(N)
+        rule the counter's O(|executed ∪ changed|) update must match.
+        Called before :meth:`RoundCounter.observe_step`, once the view
+        holds the post-step enabled set.
+        """
+        rounds = self._rounds
+        ages = rounds.ages
+        live = [p for p in self._enabled if p not in rounds.excluded]
+        expect_ages = {
+            p: 1 if p in executed or p not in ages else ages[p] + 1 for p in live
+        }
+        pending = frozenset(
+            p for p in rounds.pending if p not in executed and p in self._enabled
+        )
+        completed = rounds.completed_rounds
+        if not pending:
+            completed += 1
+            pending = frozenset(live)
+        return pending, expect_ages, completed
+
+    def _check_rounds(
+        self, expected: tuple[frozenset[int], dict[int, int], int]
+    ) -> None:
+        rounds = self._rounds
+        actual = (rounds.pending, dict(rounds.ages), rounds.completed_rounds)
+        if actual != expected:
             raise VerificationError(
-                f"{self.engine} enabled map diverged from full recompute "
-                f"at step {self._steps} (dirty={sorted(dirty)}): "
-                f"{self.engine}={ {p: [a.name for a in v] for p, v in self._enabled.items()} } "
-                f"full={ {p: [a.name for a in v] for p, v in full.items()} }"
+                f"round accounting diverged from a full recompute at step "
+                f"{self._steps}: pending/ages/rounds {actual} vs {expected}"
             )
 
     def _check_successor(
