@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro import settings
 from repro import telemetry as _telemetry
 from repro.chaos.events import FaultEvent
 from repro.chaos.scenario import FaultScenario
 from repro.core.monitor import PifCycleMonitor
-from repro.core.pif import SnapPif
 from repro.errors import MessagingError, ScheduleError
 from repro.runtime.daemons import (
     AdversarialDaemon,
@@ -345,163 +343,69 @@ def run_campaign(
     (default: ``SnapPif.for_network``).  ``networks`` is a name → network
     mapping or an iterable of networks (keyed by their ``name``).
 
-    ``jobs`` fans the grid cells out across a process pool (``None``
-    falls back to the ``REPRO_JOBS`` environment variable, then to the
-    in-process serial loop).  Every cell is an independent deterministic
-    run and the merged result preserves grid order, so parallel and
-    serial campaigns are bit-identical — same runs, same tapes, same
-    violations — for the same seeds.  With ``jobs``, ``protocol_factory``
-    must be picklable (a module-level callable); a permanently failing
-    cell raises :class:`~repro.parallel.executor.ParallelError` carrying
-    the grid-cell identity.  ``task_timeout`` bounds each cell's
-    wall-clock seconds in pool mode (timed-out cells are retried once,
-    then reported).
+    Every grid cell is one task of
+    :meth:`~repro.parallel.executor.ParallelExecutor.map`, in grid
+    order.  ``jobs`` (``None`` falls back to the ``REPRO_JOBS``
+    environment variable) of 2 or more fans the cells out across a
+    process pool; otherwise they run in the in-process serial loop.
+    Every cell is an independent deterministic run and results keep
+    grid order, so campaigns are bit-identical — same runs, same tapes,
+    same violations — at every ``jobs``.  ``stop_on_violation`` ends
+    the campaign at the first violating cell, in the pool as in the
+    serial loop.  In the pool, ``protocol_factory`` must be picklable
+    (a module-level callable), a permanently failing cell raises
+    :class:`~repro.parallel.executor.ParallelError` carrying the
+    grid-cell identity, and ``task_timeout`` bounds each cell's
+    wall-clock seconds (timed-out cells are retried once, then
+    reported).
     """
+    from repro.parallel.executor import ParallelExecutor, raise_failures
+    from repro.parallel.workers import campaign_cell
+
     if isinstance(networks, Mapping):
         grid = list(networks.values())
     else:
         grid = list(networks)
     scenarios = list(scenarios)
-
-    # Any explicit jobs (including 1) goes through the executor path, so
-    # the executor's telemetry counters (parallel.tasks, …) accumulate
-    # identically for jobs ∈ {1, 2, 4}; jobs=1 runs the tasks in-process
-    # (no pool) and is bit-identical to the serial loop.
-    n_jobs = settings.resolve("jobs", jobs)
-    if n_jobs is not None:
-        return _publish_campaign(
-            _run_campaign_parallel(
-                protocol_factory,
-                grid,
-                scenarios,
-                daemons=daemons,
-                seeds=seeds,
-                budget=budget,
-                engine=engine,
-                validate_engine=validate_engine,
-                transport=transport,
-                capacity=capacity,
-                model=model,
-                heartbeat=heartbeat,
-                loss_rate=loss_rate,
-                stop_on_violation=stop_on_violation,
-                jobs=n_jobs,
-                task_timeout=task_timeout,
-            )
+    tasks = [
+        (
+            (network.name, scenario.name, daemon, seed),
+            {
+                "factory": protocol_factory,
+                "network": network,
+                "scenario": scenario,
+                "daemon": daemon,
+                "seed": seed,
+                "budget": budget,
+                "engine": engine,
+                "validate_engine": validate_engine,
+                "transport": transport,
+                "capacity": capacity,
+                "model": model,
+                "heartbeat": heartbeat,
+                "loss_rate": loss_rate,
+            },
         )
-
-    if protocol_factory is None:
-        protocol_factory = SnapPif.for_network
-    result = CampaignResult()
-    for network in grid:
-        protocol = protocol_factory(network)
-        for scenario in scenarios:
-            for daemon in daemons:
-                for seed in seeds:
-                    run = run_chaos(
-                        protocol,
-                        network,
-                        scenario,
-                        daemon=daemon,
-                        seed=seed,
-                        budget=budget,
-                        engine=engine,
-                        validate_engine=validate_engine,
-                        transport=transport,
-                        capacity=capacity,
-                        model=model,
-                        heartbeat=heartbeat,
-                        loss_rate=loss_rate,
-                    )
-                    result.runs.append(run)
-                    if stop_on_violation and not run.ok:
-                        return _publish_campaign(result)
-    return _publish_campaign(result)
-
-
-def _publish_campaign(result: CampaignResult) -> CampaignResult:
-    """Fold campaign-level counters into the telemetry registry.
-
-    Cell-level metrics are published by :func:`run_chaos` itself — in
-    the parallel path that happens inside the worker's captured
-    registry, which the executor merges back in grid order, so these
-    campaign-level counters are the only parent-side addition and the
-    aggregate stays identical across ``jobs``.
-    """
+        for network in grid
+        for scenario in scenarios
+        for daemon in daemons
+        for seed in seeds
+    ]
+    runs = ParallelExecutor(
+        campaign_cell, jobs=jobs, timeout=task_timeout
+    ).map(tasks, stop=_violated if stop_on_violation else None)
+    raise_failures(runs)
+    result = CampaignResult(runs=runs)
     if _telemetry.enabled:
+        # Cell-level metrics are published by run_chaos itself (in the
+        # pool, inside each task's captured registry), so these are the
+        # only parent-side additions.
         reg = _telemetry.registry
         reg.inc("chaos.campaigns")
-        reg.inc("chaos.cells", len(result.runs))
+        reg.inc("chaos.cells", len(runs))
     return result
 
 
-def _run_campaign_parallel(
-    protocol_factory: Callable[[Network], Protocol] | None,
-    grid: list[Network],
-    scenarios: list[FaultScenario],
-    *,
-    daemons: Sequence[str],
-    seeds: Sequence[int],
-    budget: int,
-    engine: str | None,
-    validate_engine: bool | None,
-    transport: str,
-    capacity: int | None,
-    model: str | None,
-    heartbeat: int | None,
-    loss_rate: float,
-    stop_on_violation: bool,
-    jobs: int,
-    task_timeout: float | None,
-) -> CampaignResult:
-    """Fan the campaign grid out across a process pool.
-
-    One task per grid cell, in the exact nesting order of the serial
-    loop; results merge back in that order, so the returned
-    :class:`CampaignResult` is bit-identical to the serial one.  With
-    ``stop_on_violation`` the whole grid still executes (there is no
-    cross-worker cancellation), but the merged run list is truncated at
-    the first violating cell — exactly the prefix the serial loop would
-    have produced.
-    """
-    from repro.parallel.executor import (
-        ParallelExecutor,
-        raise_failures,
-    )
-    from repro.parallel.workers import campaign_cell
-
-    tasks = []
-    for network in grid:
-        for scenario in scenarios:
-            for daemon in daemons:
-                for seed in seeds:
-                    key = (network.name, scenario.name, daemon, seed)
-                    payload = {
-                        "factory": protocol_factory,
-                        "network": network,
-                        "scenario": scenario,
-                        "daemon": daemon,
-                        "seed": seed,
-                        "budget": budget,
-                        "engine": engine,
-                        "validate_engine": validate_engine,
-                        "transport": transport,
-                        "capacity": capacity,
-                        "model": model,
-                        "heartbeat": heartbeat,
-                        "loss_rate": loss_rate,
-                    }
-                    tasks.append((key, payload))
-
-    executor = ParallelExecutor(
-        campaign_cell, jobs=jobs, timeout=task_timeout
-    )
-    outcomes = executor.map(tasks)
-    raise_failures(outcomes)
-
-    result = CampaignResult()
-    for run in outcomes:
-        result.runs.append(run)
-        if stop_on_violation and not run.ok:
-            break
-    return result
+def _violated(runs: list) -> bool:
+    """The stop rule of ``stop_on_violation``: the last cell violated."""
+    return getattr(runs[-1], "violation", None) is not None

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from repro import settings
 from repro import telemetry as _telemetry
 from repro.chaos.campaign import ChaosRun, make_simulator
 from repro.chaos.events import event_from_dict
@@ -500,30 +499,23 @@ def shrink_sweep(
     Unlike :func:`falsify` (first reproducer wins), the sweep processes
     the *whole* grid and returns one entry per cell in grid order:
     the shrunk :class:`Repro` for violating cells, ``None`` for cells
-    that pass (or whose tape fails to re-reproduce).  ``jobs`` fans the
-    cells out across the process pool (``None`` falls back to
-    ``REPRO_JOBS``, then the serial loop); each cell is an independent
-    deterministic run-then-shrink, results merge in submission order,
-    and each worker's shrink telemetry is captured and merged in that
-    same order — so the reproducers *and* the aggregated deterministic
-    metrics are bit-identical across job counts.
+    that pass (or whose tape fails to re-reproduce).  Every cell is one
+    task of :meth:`~repro.parallel.executor.ParallelExecutor.map`:
+    ``jobs`` (``None`` falls back to ``REPRO_JOBS``) of 2 or more fans
+    the cells out across the process pool, otherwise they run in the
+    in-process serial loop.  Each cell is an independent deterministic
+    run-then-shrink, results keep grid order, and each pool task's
+    shrink telemetry is captured and merged in that same order — so the
+    reproducers *and* the aggregated deterministic metrics are
+    bit-identical across job counts.
     """
-    grid = []
-    for network in networks:
-        for daemon in daemons:
-            for seed in seeds:
-                for scenario in scenarios:
-                    grid.append((network, daemon, seed, scenario))
+    from repro.parallel.executor import ParallelExecutor, raise_failures
+    from repro.parallel.workers import shrink_cell
 
-    n_jobs = settings.resolve("jobs", jobs)
-    if n_jobs is not None:
-        from repro.parallel.executor import ParallelExecutor, raise_failures
-        from repro.parallel.workers import shrink_cell
-
-        tasks = []
-        for network, daemon, seed, scenario in grid:
-            key = (network.name, scenario.name, daemon, seed)
-            payload = {
+    tasks = [
+        (
+            (network.name, scenario.name, daemon, seed),
+            {
                 "factory": protocol_factory,
                 "network": network,
                 "scenario": scenario,
@@ -536,38 +528,18 @@ def shrink_sweep(
                 "model": model,
                 "heartbeat": heartbeat,
                 "loss_rate": loss_rate,
-            }
-            tasks.append((key, payload))
-        executor = ParallelExecutor(
-            shrink_cell, jobs=n_jobs, timeout=task_timeout
+            },
         )
-        outcomes = executor.map(tasks)
-        raise_failures(outcomes)
-        return list(outcomes)
-
-    from repro.chaos.campaign import run_chaos
-
-    results: list[Repro | None] = []
-    for network, daemon, seed, scenario in grid:
-        protocol = protocol_factory(network)
-        run = run_chaos(
-            protocol,
-            network,
-            scenario,
-            daemon=daemon,
-            seed=seed,
-            budget=budget,
-            transport=transport,
-            capacity=capacity,
-            model=model,
-            heartbeat=heartbeat,
-            loss_rate=loss_rate,
-        )
-        if run.ok:
-            results.append(None)
-        else:
-            results.append(shrink_run(protocol, run, max_tests=max_tests))
-    return results
+        for network in networks
+        for daemon in daemons
+        for seed in seeds
+        for scenario in scenarios
+    ]
+    outcomes = ParallelExecutor(
+        shrink_cell, jobs=jobs, timeout=task_timeout
+    ).map(tasks)
+    raise_failures(outcomes)
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ sharding it lost more than the pool gained.)
   work partitioning over :class:`concurrent.futures.ProcessPoolExecutor`
   with stable, order-independent result merging (results come back in
   task-submission order no matter which worker finished first), per-task
-  timeouts with retry-once-then-record semantics, and a graceful
-  in-process serial path for ``jobs=1``;
+  timeouts with retry-once-then-record semantics, and an early stop
+  that ends where the serial loop ends; ``jobs <= 1`` *is* the serial
+  loop (in-process, no pool);
 * :mod:`~repro.parallel.workers` — the top-level (hence picklable)
   worker functions for the wired layers, each owning its *worker-local*
   warm state (protocol instances, memo engines); nothing mutable ever
@@ -20,12 +21,13 @@ sharding it lost more than the pool gained.)
 
 The worker count is the ``jobs`` row of :mod:`repro.settings`: explicit
 ``jobs=`` argument, else the ``REPRO_JOBS`` environment variable, else
-``None`` (the classic serial code path).
+``None`` (the serial code path, as is ``jobs=1``).
 
 The non-negotiable contract (tested by ``tests/parallel/``): for every
 wired entry point, parallel and serial execution produce the same
-verdicts, counterexamples and tapes for the same seeds — parallelism
-never changes *what* is explored or reported, only *how fast*.
+verdicts, counterexamples, tapes and coverage counters for the same
+seeds, early stops included — parallelism never changes *what* is
+explored or reported, only *how fast*.
 """
 
 from repro.parallel.executor import (

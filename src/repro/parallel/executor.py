@@ -2,32 +2,39 @@
 
 Design constraints (why this looks the way it does):
 
+* **One serial path.**  At ``jobs <= 1`` :meth:`ParallelExecutor.map`
+  is a plain in-process loop: it calls the worker directly, a worker
+  exception propagates as it would from any loop, and the worker's
+  metrics land in the active telemetry registry.  There is no pool,
+  no pickling, no retry and no per-task capture — the pool is a pure
+  throughput knob layered over that loop.
 * **Determinism.**  Task results are returned in *submission order*
   regardless of worker scheduling, so any aggregation over them is
   automatically order-stable.  Work partitioning (:func:`chunk_ranges`)
   depends only on the workload size and the shard count — never on the
-  worker count — so the same sweep sharded for 1, 2 or 4 workers
+  worker count — so the same sweep sharded for 2 or 4 workers
   produces bit-identical shard results and therefore bit-identical
   merged results.
+* **Early stop.**  ``map(tasks, stop=...)`` ends where the serial loop
+  ends: after the first result on which ``stop`` holds for the
+  submission-order prefix.  The pool keeps at most ``jobs`` tasks in
+  flight, advances the contiguous completed prefix, and submits nothing
+  once ``stop`` holds; results and telemetry of tasks past the cut are
+  dropped.
 * **Pickle boundary.**  Worker functions must be module-level callables
   (pickled by reference); payloads must be plain picklable values.
   Workers build their own warm state (protocol instances, memo engines)
   locally — nothing mutable crosses the boundary in either direction.
-* **Failure containment.**  Worker exceptions and per-task timeouts are
-  caught *inside* the worker and shipped back as data, so one bad grid
-  cell can neither poison the pool nor lose its identity.  A failed
-  task is retried once; a second failure is recorded as a
+* **Failure containment.**  In the pool, worker exceptions and per-task
+  timeouts are caught *inside* the worker and shipped back as data, so
+  one bad grid cell can neither poison the pool nor lose its identity.
+  A failed task is retried once; a second failure is recorded as a
   :class:`TaskFailure` carrying the task key (the grid-cell identity)
   and the worker-side traceback.
-* **Serial fallback.**  ``jobs=1`` runs every task in-process through
-  the same code path (same chunking, same merge order, no pool, no
-  pickling), so ``jobs=1`` output is bit-identical to ``jobs=N`` and
-  the pool is a pure throughput knob.
 
 The worker count resolves through the settings table
 (:mod:`repro.settings`): an explicit ``jobs=`` argument wins, else the
-``REPRO_JOBS`` environment variable, else ``None`` — which every wired
-entry point treats as "use the classic serial code path".
+``REPRO_JOBS`` environment variable, else ``None`` — the serial loop.
 """
 
 from __future__ import annotations
@@ -111,7 +118,7 @@ class _TaskTimeout(Exception):
 def _call_guarded(
     fn: Callable, key: object, payload: object, timeout: float | None
 ) -> tuple[str, object, str, float, object]:
-    """Run one task, converting every failure into data.
+    """Run one pool task, converting every failure into data.
 
     Returns ``(status, value, traceback_text, seconds, snapshot)`` with
     status ``"ok"``, ``"timeout"`` or ``"error"``.  The per-task timeout
@@ -166,13 +173,6 @@ def _call_guarded(
             signal.signal(signal.SIGALRM, previous)
 
 
-def _pool_entry(
-    fn: Callable, key: object, payload: object, timeout: float | None
-) -> tuple[str, object, str, float, object]:
-    """Top-level pool entry point (must be picklable by reference)."""
-    return _call_guarded(fn, key, payload, timeout)
-
-
 class ParallelExecutor:
     """Run independent tasks across a process pool, deterministically.
 
@@ -186,16 +186,15 @@ class ParallelExecutor:
     jobs:
         Worker-count knob (the ``jobs`` row of :mod:`repro.settings`);
         ``None`` here resolves the ``REPRO_JOBS`` environment variable and
-        defaults to ``1`` (in-process serial execution).
+        defaults to ``1`` (the in-process serial loop).
     timeout:
         Optional per-task wall-clock timeout in seconds, enforced
-        worker-side via ``SIGALRM`` (pool mode only — the in-process
-        serial path never alarms, since that would clobber the caller's
-        signal handling).
+        worker-side via ``SIGALRM`` (pool only — the serial loop never
+        alarms, since that would clobber the caller's signal handling).
     retries:
-        How many times a failed (errored or timed-out) task is retried
-        before being recorded as a :class:`TaskFailure`.  The default is
-        the retry-once-then-record contract.
+        How many times a failed (errored or timed-out) pool task is
+        retried before being recorded as a :class:`TaskFailure`.  The
+        default is the retry-once-then-record contract.
     """
 
     def __init__(
@@ -215,47 +214,57 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
     def map(
-        self, tasks: Sequence[tuple[object, object]]
+        self,
+        tasks: Sequence[tuple[object, object]],
+        stop: Callable[[list], bool] | None = None,
     ) -> list[object]:
         """Execute ``(key, payload)`` tasks; results in submission order.
 
-        Each slot of the returned list holds the worker's return value
-        for the task at the same index, or a :class:`TaskFailure` when
-        the task failed permanently.  Use :func:`raise_failures` to turn
-        any failure into a :class:`ParallelError`.
+        ``stop``, when given, is called with the list of results so far
+        each time it grows by one; once it returns True no further task
+        is run and the returned list ends with that result.
+
+        At ``jobs <= 1`` the tasks run in a plain in-process loop and a
+        worker exception propagates.  In the pool, each slot holds the
+        worker's return value for the task at the same index, or a
+        :class:`TaskFailure` when the task failed permanently; use
+        :func:`raise_failures` to turn any failure into a
+        :class:`ParallelError`.
         """
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.jobs == 1:
-            results = []
-            snapshots: list[object] = []
-            durations: list[float] = []
-            attempts: list[int] = []
-            for key, payload in tasks:
-                value, snapshot, seconds, used = self._run_inline(key, payload)
-                results.append(value)
-                snapshots.append(snapshot)
-                durations.append(seconds)
-                attempts.append(used)
-            self._absorb(results, snapshots, durations, attempts)
-            return results
-        return self._run_pool(tasks)
+        if self.jobs > 1:
+            return self._run_pool(list(tasks), stop)
+        from repro.parallel.workers import _PROTOCOL_CACHE
+
+        results: list[object] = []
+        try:
+            for _key, payload in tasks:
+                results.append(self.worker(payload))
+                if stop is not None and stop(results):
+                    break
+        finally:
+            # Workers cache protocols per process; in the parent the
+            # cache must not outlive the call that filled it.
+            _PROTOCOL_CACHE.clear()
+        self._absorb(results, retries=0)
+        return results
 
     # ------------------------------------------------------------------
     def _absorb(
         self,
         results: list[object],
-        snapshots: list[object],
-        durations: list[float],
-        attempts: list[int],
+        *,
+        retries: int,
+        snapshots: Sequence[object] = (),
+        durations: Sequence[float] = (),
     ) -> None:
         """Merge task snapshots and record executor metrics (parent side).
 
         Snapshots merge in submission order — the same order for any
         worker count, so the aggregated registry is a deterministic
-        function of the workload alone.  Wall-clock task durations land
-        in the ``parallel.task.seconds`` histogram, which the
+        function of the workload alone.  The serial loop has no
+        snapshots (its tasks record straight into the active registry)
+        but counts its tasks the same way.  Wall-clock task durations
+        land in the ``parallel.task.seconds`` histogram, which the
         deterministic snapshot view excludes.
         """
         if not _telemetry.enabled:
@@ -265,109 +274,109 @@ class ParallelExecutor:
             if snapshot is not None:
                 reg.merge_snapshot(snapshot)
         reg.inc("parallel.tasks", len(results))
-        reg.inc("parallel.retries", sum(attempts) - len(results))
-        for value, seconds in zip(results, durations):
+        reg.inc("parallel.retries", retries)
+        for value in results:
             if isinstance(value, TaskFailure):
                 reg.inc("parallel.failures")
                 if value.kind == "timeout":
                     reg.inc("parallel.timeouts")
+        for seconds in durations:
             if seconds > 0.0:
                 reg.observe(
                     "parallel.task.seconds", seconds, _telemetry.TIME_BOUNDS
                 )
 
-    def _run_inline(
-        self, key: object, payload: object
-    ) -> tuple[object, object, float, int]:
-        last: tuple[str, object, str] | None = None
-        for attempt in range(1 + self.retries):
-            status, value, tb, seconds, snapshot = _call_guarded(
-                self.worker, key, payload, None
-            )
-            if status == "ok":
-                return value, snapshot, seconds, attempt + 1
-            last = (status, value, tb)
-        status, value, tb = last  # type: ignore[misc]
-        failure = TaskFailure(
-            key=key,
-            kind=status,
-            message=str(value),
-            attempts=1 + self.retries,
-            traceback=tb,
-        )
-        return failure, None, 0.0, 1 + self.retries
-
-    def _run_pool(self, tasks: list[tuple[object, object]]) -> list[object]:
-        results: list[object] = [None] * len(tasks)
-        attempts = [0] * len(tasks)
-        snapshots: list[object] = [None] * len(tasks)
-        durations: list[float] = [0.0] * len(tasks)
-        failures: list[tuple[str, object, str] | None] = [None] * len(tasks)
+    def _run_pool(
+        self,
+        tasks: list[tuple[object, object]],
+        stop: Callable[[list], bool] | None,
+    ) -> list[object]:
+        total = len(tasks)
+        if not total:
+            return []
+        attempts = [0] * total
+        #: index -> (status, value, traceback, seconds, snapshot) for
+        #: finished tasks not yet part of the contiguous prefix.
+        finished: dict[int, tuple] = {}
+        results: list[object] = []
+        snapshots: list[object] = []
+        durations: list[float] = []
         try:
             context = __import__("multiprocessing").get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             context = None
         with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(tasks)), mp_context=context
+            max_workers=min(self.jobs, total), mp_context=context
         ) as pool:
+            pending: dict = {}
 
-            def submit(index: int):
+            def submit(index: int) -> None:
                 key, payload = tasks[index]
                 attempts[index] += 1
                 future = pool.submit(
-                    _pool_entry, self.worker, key, payload, self.timeout
+                    _call_guarded, self.worker, key, payload, self.timeout
                 )
-                return future
+                pending[future] = index
 
-            pending = {submit(i): i for i in range(len(tasks))}
-            done_mask = [False] * len(tasks)
-            while pending:
+            submitted = 0
+            stopped = False
+            while not stopped:
+                while submitted < total and len(pending) < self.jobs:
+                    submit(submitted)
+                    submitted += 1
+                if not pending:
+                    break
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     index = pending.pop(future)
                     try:
-                        status, value, tb, seconds, snapshot = future.result()
+                        outcome = future.result()
                     except BrokenProcessPool:
                         # The worker process died (OOM-kill, hard crash).
-                        # The pool is unusable from here on; everything
-                        # still pending is recorded as failed.
-                        failures[index] = (
+                        # The pool is unusable from here on; every task
+                        # without a result is recorded as failed.
+                        broken = (
                             "error",
                             "worker process died (broken pool)",
                             "",
+                            0.0,
+                            None,
                         )
-                        done_mask[index] = True
-                        for other in list(pending):
-                            j = pending.pop(other)
-                            failures[j] = (
-                                "error",
-                                "worker process died (broken pool)",
-                                "",
-                            )
-                            done_mask[j] = True
-                        pending = {}
+                        for other in range(len(results), total):
+                            finished.setdefault(other, broken)
+                        pending.clear()
+                        submitted = total
                         break
-                    if status == "ok":
-                        results[index] = value
-                        snapshots[index] = snapshot
-                        durations[index] = seconds
-                        done_mask[index] = True
-                    elif attempts[index] <= self.retries:
-                        pending[submit(index)] = index
+                    if outcome[0] != "ok" and attempts[index] <= self.retries:
+                        submit(index)
                     else:
-                        failures[index] = (status, str(value), tb)
-                        done_mask[index] = True
-        for index, failure in enumerate(failures):
-            if failure is not None:
-                status, message, tb = failure
-                results[index] = TaskFailure(
-                    key=tasks[index][0],
-                    kind=status,
-                    message=message,
-                    attempts=attempts[index],
-                    traceback=tb,
-                )
-        self._absorb(results, snapshots, durations, attempts)
+                        finished[index] = outcome
+                # Advance the contiguous prefix, stopping at the cut.
+                while not stopped and len(results) in finished:
+                    index = len(results)
+                    status, value, tb, seconds, snapshot = finished.pop(index)
+                    if status != "ok":
+                        value = TaskFailure(
+                            key=tasks[index][0],
+                            kind=status,
+                            message=str(value),
+                            attempts=attempts[index],
+                            traceback=tb,
+                        )
+                    results.append(value)
+                    snapshots.append(snapshot)
+                    durations.append(seconds)
+                    stopped = stop is not None and stop(results)
+            # Tasks past the cut that have not started never run; the
+            # ones already running finish inside the pool's shutdown.
+            for future in pending:
+                future.cancel()
+        self._absorb(
+            results,
+            retries=sum(max(0, n - 1) for n in attempts[: len(results)]),
+            snapshots=snapshots,
+            durations=durations,
+        )
         return results
 
 

@@ -1,10 +1,13 @@
 """Top-level worker functions for the wired parallel layers.
 
 Every function here is module-level (hence picklable by reference into
-pool workers) and takes one plain-dict payload.  Workers own their warm
+pool workers) and takes one plain-dict payload; the executor's serial
+loop calls the same functions in-process.  Workers own their warm
 state: protocol instances are rebuilt *inside* the worker from the
-pickled ``(factory, network)`` pair and cached per worker process in
-:data:`_PROTOCOL_CACHE`, and each model-check shard builds its own
+pickled ``(factory, network)`` pair and cached per process in
+:data:`_PROTOCOL_CACHE` (cleared in the parent when a serial
+:meth:`~repro.parallel.executor.ParallelExecutor.map` returns), and
+each model-check shard builds its own
 :class:`~repro.verification.model_check.ModelCheckMemo` — nothing
 mutable ever crosses the pickle boundary.
 

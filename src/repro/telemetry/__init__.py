@@ -196,8 +196,8 @@ def capture():
     Yields the temporary :class:`MetricsRegistry`; the previous one is
     restored on exit (even on error).  The caller snapshots the yielded
     registry to get the block's metrics in isolation — this is how the
-    parallel executor gives each task its own snapshot regardless of
-    which worker process (or the inline path) runs it.
+    parallel executor gives each pool task its own snapshot regardless
+    of which worker process runs it.
 
     No-op-ish when disabled: still swaps, but nothing records.
     """

@@ -184,8 +184,8 @@ class MetricsSnapshot:
         metrics (``worker.*`` — e.g. protocol-cache hit rates, which
         depend on how tasks were spread over worker processes).
         Everything left is a deterministic function of the workload —
-        the portion asserted bit-identical across ``jobs`` ∈ {1, 2, 4}
-        by ``tests/telemetry/``.
+        the portion asserted bit-identical across the ``jobs`` axis by
+        ``tests/telemetry/`` (DESIGN.md §10).
         """
         return MetricsSnapshot(
             metrics={

@@ -107,17 +107,18 @@ def check_convergence_synchronous(
     per configuration either way.  One synchronous step is one round,
     so the step count *is* the round count.
 
-    ``jobs`` / ``shards`` / ``task_timeout`` shard the sweep across a
-    process pool exactly like
-    :func:`~repro.verification.model_check.check_cycle_liveness_synchronous`.
+    ``jobs`` / ``shards`` / ``task_timeout`` work exactly as in
+    :func:`~repro.verification.model_check.check_cycle_liveness_synchronous`:
+    the sweep is sharded across a process pool at ``jobs`` of 2 or more
+    and runs serially otherwise.
     ``config_slice`` is a half-open window in *raw* enumeration index
     space (before the stride filter), so a sharded strided sweep checks
     exactly the serial stride-hit set.
     """
     if stride < 1:
         raise VerificationError(f"stride must be >= 1, got {stride}")
-    n_jobs = settings.resolve("jobs", jobs)
-    if config_slice is None and n_jobs is not None:
+    n_jobs = settings.resolve("jobs", jobs) or 1
+    if config_slice is None and n_jobs > 1:
         return _check_sharded_sweep(
             check_convergence_synchronous,
             count_all_configurations,

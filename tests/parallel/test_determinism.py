@@ -1,11 +1,11 @@
 """The non-negotiable contract: parallel ≡ serial, bit for bit.
 
 Every wired entry point — campaigns and the synchronous liveness and
-convergence sweeps — must produce identical verdicts, counterexamples
-and tapes at ``jobs`` ∈ {1, 2, 4}, and identical results to the
-classic serial path.
-A permanently failing worker must surface the failing grid cell's
-identity, not a bare exception.
+convergence sweeps — must produce identical verdicts, counterexamples,
+tapes and coverage counters at ``jobs`` ∈ {1, 2, 4} and on the serial
+path (``jobs=None``), early stops included.  ``jobs=1`` *is* the serial
+path.  A permanently failing pool worker must surface the failing grid
+cell's identity, not a bare exception.
 """
 
 from __future__ import annotations
@@ -103,6 +103,13 @@ class TestCampaign:
         assert "3" in message
         assert "factory exploded" in message
 
+    def test_serial_campaign_leaves_no_cached_protocols(self) -> None:
+        from repro.parallel import workers
+
+        for jobs in (None, 1):
+            self._run(jobs=jobs)
+            assert workers._PROTOCOL_CACHE == {}, jobs
+
     def test_stop_on_violation_truncates_like_serial(self) -> None:
         scenario = SCENARIO_SHAPES["corruption-burst"]().seeded(0)
         factory = MUTANT_FACTORIES["mutant-eager-fok"]
@@ -186,25 +193,62 @@ class TestSynchronousSweeps:
                 == serial
             ), jobs
 
-    def test_liveness_counterexample_stop_matches_serial(self) -> None:
+    @staticmethod
+    def _assert_stop_matches_serial(check, expected) -> None:
+        # The sharded merge cuts where the serial sweep stops: the same
+        # counterexamples *and* the same coverage counters.
         factory = MUTANT_FACTORIES["mutant-eager-fok"]
         net = line(3)
-        serial = check_cycle_liveness_synchronous(net, protocol=factory(net, 0))
+        serial = check(net, protocol=factory(net, 0))
         assert serial.truncation == "stopped after 5 counterexamples"
-        for jobs in (1, 2):
-            sharded = check_cycle_liveness_synchronous(
-                net, protocol_factory=factory, jobs=jobs
-            )
+        assert (
+            serial.configurations_checked,
+            serial.states_explored,
+        ) == expected
+        for jobs in (1, 2, 4):
+            sharded = check(net, protocol_factory=factory, jobs=jobs)
             assert sharded.complete == serial.complete, jobs
             assert sharded.truncation == serial.truncation, jobs
             assert sharded.counterexamples == serial.counterexamples, jobs
+            assert (
+                sharded.configurations_checked,
+                sharded.states_explored,
+                sharded.transitions_explored,
+            ) == (
+                serial.configurations_checked,
+                serial.states_explored,
+                serial.transitions_explored,
+            ), jobs
+
+    def test_liveness_counterexample_stop_matches_serial(self) -> None:
+        self._assert_stop_matches_serial(
+            check_cycle_liveness_synchronous, (5, 230)
+        )
+
+    def test_convergence_counterexample_stop_matches_serial(self) -> None:
+        self._assert_stop_matches_serial(
+            check_convergence_synchronous, (16, 257)
+        )
+
+    @pytest.mark.parametrize(
+        "check", [check_cycle_liveness_synchronous, check_convergence_synchronous]
+    )
+    def test_jobs_1_is_the_serial_sweep(self, check) -> None:
+        # No shards at jobs=1: a protocol instance is accepted (nothing
+        # crosses a pickle boundary) and the result is the serial one.
+        factory = MUTANT_FACTORIES["mutant-eager-fok"]
+        net = line(3)
+        serial = check(net, protocol=factory(net, 0))
+        again = check(net, protocol=factory(net, 0), jobs=1)
+        assert _check_sig(again) == _check_sig(serial)
+        assert again.states_explored == serial.states_explored
 
     @pytest.mark.parametrize(
         "check", [check_cycle_liveness_synchronous, check_convergence_synchronous]
     )
     def test_zero_configuration_cap_matches_serial(self, check) -> None:
         serial = check(line(3), max_configurations=0)
-        sharded = check(line(3), max_configurations=0, jobs=1)
+        sharded = check(line(3), max_configurations=0, jobs=2)
         assert _check_sig(sharded) == _check_sig(serial)
         assert sharded.truncation == serial.truncation
 

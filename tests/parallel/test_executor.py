@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import os
 
-from functools import partial
-
 import pytest
 
-from repro import settings
 from repro.parallel.executor import (
     ParallelError,
     ParallelExecutor,
@@ -16,10 +13,6 @@ from repro.parallel.executor import (
     chunk_ranges,
     raise_failures,
 )
-
-#: The ``jobs`` row of the settings table.
-resolve_jobs = partial(settings.resolve, "jobs")
-
 
 # Module-level workers: the pool pickles them by reference.
 def _double(payload):
@@ -68,76 +61,6 @@ class TestChunkRanges:
             chunk_ranges(10, 0)
 
 
-class TestResolveJobs:
-    def test_explicit_wins(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolve_jobs(3) == 3
-
-    def test_env_fallback(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert resolve_jobs(None) == 2
-        assert settings.row("jobs").lookup() == (2, "env")
-
-    def test_unset_means_none(self, monkeypatch) -> None:
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) is None
-        # Whitespace-only means unset, like an empty value.
-        monkeypatch.setenv("REPRO_JOBS", " ")
-        assert resolve_jobs(None) is None
-
-    def test_invalid_values_raise(self, monkeypatch) -> None:
-        monkeypatch.setenv("REPRO_JOBS", "zero")
-        with pytest.raises(ParallelError):
-            resolve_jobs(None)
-        with pytest.raises(ParallelError):
-            resolve_jobs(0)
-
-    def test_zero_rejected_with_value_in_message(self) -> None:
-        with pytest.raises(
-            ParallelError,
-            match=r"^jobs must be a positive integer, got 0 \(argument\)$",
-        ):
-            resolve_jobs(0)
-
-    def test_negative_rejected_with_value_in_message(self) -> None:
-        with pytest.raises(ParallelError, match="got -3"):
-            resolve_jobs(-3)
-
-    def test_non_integer_rejected(self) -> None:
-        with pytest.raises(ParallelError, match="2.5"):
-            resolve_jobs(2.5)  # type: ignore[arg-type]
-        with pytest.raises(ParallelError, match="2.0"):
-            resolve_jobs(2.0)  # type: ignore[arg-type]
-        # bool is an int subclass but never a worker count; the error
-        # names the knob, the value and its source.
-        for flag in (True, False):
-            with pytest.raises(ParallelError) as err:
-                resolve_jobs(flag)  # type: ignore[arg-type]
-            assert str(err.value) == (
-                f"jobs must be a positive integer, got {flag!r} (argument)"
-            )
-        with pytest.raises(ParallelError, match="'4'"):
-            resolve_jobs("4")  # type: ignore[arg-type]
-
-    def test_garbage_env_names_variable_and_value(self, monkeypatch) -> None:
-        for raw in ("lots", "two", "1.5", "1e3"):
-            monkeypatch.setenv("REPRO_JOBS", raw)
-            with pytest.raises(ParallelError) as err:
-                resolve_jobs(None)
-            assert str(err.value) == (
-                f"jobs must be a positive integer, got {raw!r} "
-                "(environment variable REPRO_JOBS)"
-            )
-
-    def test_nonpositive_env_names_variable_and_value(
-        self, monkeypatch
-    ) -> None:
-        for raw in ("0", "-2"):
-            monkeypatch.setenv("REPRO_JOBS", raw)
-            with pytest.raises(ParallelError, match=f"{raw!r}.*REPRO_JOBS"):
-                resolve_jobs(None)
-
-
 class TestExecutor:
     def test_inline_results_in_submission_order(self) -> None:
         executor = ParallelExecutor(_double, jobs=1)
@@ -174,11 +97,56 @@ class TestExecutor:
         assert results == ["recovered"]
         assert marker.exists()
 
-    def test_inline_failures_match_pool_shape(self) -> None:
-        (failure,) = ParallelExecutor(_boom, jobs=1).map([("k", 1)])
-        assert isinstance(failure, TaskFailure)
-        assert failure.kind == "error" and failure.key == "k"
+    def test_serial_worker_errors_propagate(self) -> None:
+        # jobs=1 is the plain serial loop: no retry, no failure-as-data.
+        with pytest.raises(ValueError, match="boom on 1"):
+            ParallelExecutor(_boom, jobs=1).map([("k", 1)])
 
     def test_rejects_negative_retries(self) -> None:
         with pytest.raises(ParallelError):
             ParallelExecutor(_double, retries=-1)
+
+
+class TestStop:
+    """``map(tasks, stop=...)`` ends where the serial loop ends."""
+
+    @staticmethod
+    def _past_two(results) -> bool:
+        return results[-1] >= 4
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_results_end_at_the_cut(self, jobs) -> None:
+        executor = ParallelExecutor(_double, jobs=jobs)
+        tasks = [(i, i) for i in range(20)]
+        assert executor.map(tasks, stop=self._past_two) == [0, 2, 4]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_cut_runs_everything(self, jobs) -> None:
+        executor = ParallelExecutor(_double, jobs=jobs)
+        tasks = [(i, i) for i in range(6)]
+        assert executor.map(tasks, stop=lambda r: False) == [
+            2 * i for i in range(6)
+        ]
+
+    def test_pool_does_not_run_the_whole_list(self, tmp_path) -> None:
+        # At most ``jobs`` tasks are in flight, and none is submitted
+        # once the completed prefix holds the stop.
+        tasks = [(i, {"dir": str(tmp_path), "index": i}) for i in range(40)]
+        results = ParallelExecutor(_touch, jobs=2).map(
+            tasks, stop=lambda r: r[-1] == 2
+        )
+        assert results == [0, 1, 2]
+        assert 3 <= len(list(tmp_path.iterdir())) < 40
+
+    def test_serial_stop_runs_nothing_past_the_cut(self, tmp_path) -> None:
+        tasks = [(i, {"dir": str(tmp_path), "index": i}) for i in range(10)]
+        ParallelExecutor(_touch, jobs=1).map(tasks, stop=lambda r: r[-1] == 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1", "2"]
+
+
+def _touch(payload):
+    """Leave a file named after the task index; return the index."""
+    index = payload["index"]
+    with open(os.path.join(payload["dir"], str(index)), "w") as fh:
+        fh.write("ran\n")
+    return index

@@ -2,11 +2,14 @@
 
 The acceptance bar for the telemetry subsystem: for every wired entry
 point, the aggregated *deterministic* metric snapshot (everything but
-the ``*.seconds`` wall-clock histograms) is bit-identical for
-``jobs`` ∈ {1, 2, 4}.  Per-task registries are captured in the workers,
-shipped back as picklable snapshots, and merged in serial submission
-order — so the aggregate depends only on the workload, never on the
-worker count or completion order.
+the ``*.seconds`` wall-clock histograms) does not depend on the worker
+count.  Per-task registries are captured in the pool workers, shipped
+back as picklable snapshots, and merged in serial submission order, so
+campaigns and shrink sweeps read the same at ``jobs`` ∈ {None, 1, 2, 4}
+(the serial loop records straight into the registry).  The synchronous
+sweeps shard only in the pool, whose shards build their own memos, so
+they read the same at ``jobs`` ∈ {2, 4}, and ``jobs=1`` is the serial
+sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from repro.verification import (
     check_snap_safety,
 )
 
-JOBS = (1, 2, 4)
+#: Every point of the jobs axis; ``None`` is the serial default.
+JOBS = (None, 1, 2, 4)
 
 
 @pytest.fixture(autouse=True)
@@ -42,11 +46,12 @@ def _snapshot_of(run) -> dict:
         telemetry.disable()
 
 
-def _assert_identical_across_jobs(make_run):
-    snapshots = {jobs: _snapshot_of(make_run(jobs)) for jobs in JOBS}
-    assert snapshots[1], "entry point published no deterministic metrics"
-    assert snapshots[1] == snapshots[2] == snapshots[4]
-    return snapshots[1]
+def _assert_identical_across_jobs(make_run, jobs_axis=JOBS):
+    snapshots = [_snapshot_of(make_run(jobs)) for jobs in jobs_axis]
+    assert snapshots[0], "entry point published no deterministic metrics"
+    for jobs, snapshot in zip(jobs_axis, snapshots):
+        assert snapshot == snapshots[0], jobs
+    return snapshots[0]
 
 
 class TestJobsBitIdentity:
@@ -74,6 +79,33 @@ class TestJobsBitIdentity:
         # Simulator metrics from inside the cells survive the boundary.
         assert metrics["sim.steps"]["value"] > 0
         assert metrics["sim.faults"]["value"] > 0
+
+    def test_campaign_stop_on_violation(self):
+        from repro.chaos import corruption_burst
+        from tests.mutants.protocols import MUTANT_FACTORIES
+
+        factory = MUTANT_FACTORIES["mutant-eager-fok"]
+
+        def make_run(jobs):
+            return lambda: run_campaign(
+                factory,
+                [line(5)],
+                [corruption_burst()],
+                daemons=("central", "distributed-random"),
+                seeds=(0, 1, 2),
+                budget=400,
+                stop_on_violation=True,
+                jobs=jobs,
+            )
+
+        snapshot = _assert_identical_across_jobs(make_run)
+        metrics = snapshot["metrics"]
+        # Only the prefix up to the first violating cell is counted.
+        runs = metrics["chaos.runs"]["value"]
+        assert runs < 6
+        assert metrics["chaos.violations"]["value"] == 1
+        assert metrics["chaos.cells"]["value"] == runs
+        assert metrics["parallel.tasks"]["value"] == runs
 
     def test_shrink_sweep(self):
         from repro.chaos import corruption_burst, shrink_sweep
@@ -111,10 +143,11 @@ class TestJobsBitIdentity:
                 line(3), max_configurations=40, jobs=jobs
             )
 
-        snapshot = _assert_identical_across_jobs(make_run)
-        metrics = snapshot["metrics"]
         base = "check.cycle-liveness (synchronous)"
-        assert metrics[f"{base}.configurations_checked"]["value"] == 40
+        for axis in ((2, 4), (None, 1)):
+            snapshot = _assert_identical_across_jobs(make_run, axis)
+            metrics = snapshot["metrics"]
+            assert metrics[f"{base}.configurations_checked"]["value"] == 40
 
     def test_convergence(self):
         def make_run(jobs):
@@ -122,10 +155,11 @@ class TestJobsBitIdentity:
                 line(3), max_configurations=40, jobs=jobs
             )
 
-        snapshot = _assert_identical_across_jobs(make_run)
-        assert any(
-            name.startswith("check.") for name in snapshot["metrics"]
-        )
+        for axis in ((2, 4), (None, 1)):
+            snapshot = _assert_identical_across_jobs(make_run, axis)
+            assert any(
+                name.startswith("check.") for name in snapshot["metrics"]
+            )
 
     def test_disabled_runs_record_nothing(self):
         assert telemetry.enabled is False

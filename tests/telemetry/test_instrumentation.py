@@ -144,9 +144,9 @@ class TestExecutor:
     def test_task_registries_do_not_leak_into_parent(self):
         telemetry.enable()
         before = telemetry.registry
-        ParallelExecutor(_record_and_double, jobs=1).map([(0, 1)])
+        ParallelExecutor(_record_and_double, jobs=2).map([(0, 1)])
         # task.calls arrived via snapshot merge, not via a shared
-        # registry: the active registry was swapped during the task.
+        # registry: the pool task recorded into its own captured one.
         assert telemetry.registry is before
         assert _metrics()["task.calls"]["value"] == 1
 
